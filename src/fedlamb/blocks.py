@@ -50,18 +50,11 @@ class BlockVector:
     def dim(self) -> int:
         return sum(b.size for b in self.blocks)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.size for b in self.blocks)
 
     def congruent(self, other: "BlockVector") -> bool:
         return self.names == other.names and self.block_sizes() == other.block_sizes()
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
 
 
 # Type aliases marking intent: model parameters vs. optimizer statistics
@@ -142,8 +135,3 @@ def mean(xs: list[BlockVector]) -> BlockVector:
 def norm_sq(x: BlockVector) -> float:
     """Squared Euclidean norm over all coordinates."""
     return float(sum(float(np.dot(b, b)) for b in x.blocks))
-
-
-def max_abs_diff(a: BlockVector, b: BlockVector) -> float:
-    require_congruent(a, b)
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(a.blocks, b.blocks))

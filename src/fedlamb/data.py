@@ -102,7 +102,13 @@ def load_csv(path, d: int, k: int) -> Dataset:
             labels.append(label)
     if not feats:
         raise DataFormatError(f"{path}: no samples")
-    return Dataset(np.array(feats), np.array(labels, dtype=np.intp), k, source=str(path))
+    features = np.array(feats)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():  # one vectorised check; the line is looked up on failure
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+        raise DataFormatError(f"{path}:{lines[np.argmin(finite)]}: non-finite feature value")
+    return Dataset(features, np.array(labels, dtype=np.intp), k, source=str(path))
 
 
 def write_csv(dataset: Dataset, path):

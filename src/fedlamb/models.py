@@ -49,10 +49,6 @@ class ModelSpec:
         if self.kind == "logistic" and self.classes != 2:
             raise ValueError("logistic model is binary (classes=2)")
 
-    @property
-    def loss(self) -> str:
-        return "mse" if self.kind == "linear-regression" else "cross-entropy"
-
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.classes)
 
@@ -138,15 +134,17 @@ def _mlp_weights(spec: ModelSpec, params: LayeredParams):
 
 
 def _mlp_forward(spec: ModelSpec, params: LayeredParams, X: np.ndarray):
-    """Returns (pre-activation outputs per layer, post-activation inputs)."""
+    """Returns (logits, input to each layer, weights); bias and activation
+    are applied in place on each matmul's output."""
     Ws, bs = _mlp_weights(spec, params)
     acts = [X]
     h = X
     for i, (W, b) in enumerate(zip(Ws, bs), start=1):
-        z = h @ W + b
+        z = h @ W
+        z += b
         _check_finite(z, f"W{i}")
         if i < len(Ws):
-            h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+            h = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z)
             acts.append(h)
     return z, acts, Ws
 
@@ -156,50 +154,47 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
-def forward_loss(spec: ModelSpec, params: LayeredParams, batch: Batch) -> float:
-    """Mean loss over the batch; cross-entropy via stable log-sum-exp."""
+def _forward(spec: ModelSpec, params: LayeredParams, batch: Batch):
+    """One forward pass: (out, scores, saved). The loss and its gradient start
+    from `out` (residual, logit or log-probabilities), a class prediction from
+    `scores`; `saved` holds the MLP's layer inputs and weights."""
     _check_batch(spec, params, batch)
-    X = batch.features
+    if spec.kind == "mlp":
+        logits, acts, Ws = _mlp_forward(spec, params, batch.features)
+        return _log_softmax(logits), logits, (acts, Ws)
+    w, b = params.blocks
+    z = batch.features @ w + b[0]
     if spec.kind == "linear-regression":
-        w, b = params.blocks
-        r = X @ w + b[0] - batch.labels.astype(np.float64)
-        _check_finite(r, "w")
-        return float(np.mean(r * r))
+        z -= batch.labels.astype(np.float64)
+    _check_finite(z, "w")
+    return z, z, None
+
+
+def _mean_loss(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> float:
+    """Mean loss from `_forward`'s `out`: the one loss expression per kind."""
+    if spec.kind == "linear-regression":
+        return float(np.mean(out * out))
     if spec.kind == "logistic":
-        w, b = params.blocks
-        z = X @ w + b[0]
-        _check_finite(z, "w")
-        y = batch.labels.astype(np.float64)
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
-    logits, _, _ = _mlp_forward(spec, params, X)
-    logp = _log_softmax(logits)
-    idx = batch.labels.astype(np.intp)
-    return float(-np.mean(logp[np.arange(len(batch)), idx]))
+        y = labels.astype(np.float64)
+        return float(np.mean(np.logaddexp(0.0, out) - y * out))
+    return float(-np.mean(out[np.arange(len(labels)), labels.astype(np.intp)]))
 
 
-def backward(spec: ModelSpec, params: LayeredParams, batch: Batch) -> FlatStat:
-    """Gradient of the mean batch loss with respect to every block."""
-    _check_batch(spec, params, batch)
+def _gradient(spec: ModelSpec, params: LayeredParams, batch: Batch, out, saved) -> FlatStat:
+    """Gradient of the mean batch loss from `_forward`'s `out` and `saved`."""
     X = batch.features
     n = len(batch)
     if spec.kind == "linear-regression":
-        w, b = params.blocks
-        r = X @ w + b[0] - batch.labels.astype(np.float64)
-        _check_finite(r, "w")
-        gw = (2.0 / n) * (X.T @ r)
-        gb = np.array([2.0 * np.mean(r)])
+        gw = (2.0 / n) * (X.T @ out)
+        gb = np.array([2.0 * np.mean(out)])
         return BlockVector.of([("w", gw), ("b", gb)])
     if spec.kind == "logistic":
-        w, b = params.blocks
-        z = X @ w + b[0]
-        _check_finite(z, "w")
-        err = _sigmoid(z) - batch.labels.astype(np.float64)
+        err = _sigmoid(out) - batch.labels.astype(np.float64)
         return BlockVector.of([("w", (X.T @ err) / n), ("b", np.array([np.mean(err)]))])
 
-    logits, acts, Ws = _mlp_forward(spec, params, X)
-    probs = np.exp(_log_softmax(logits))
+    acts, Ws = saved
     idx = batch.labels.astype(np.intp)
-    delta = probs
+    delta = np.exp(out)
     delta[np.arange(n), idx] -= 1.0
     delta /= n
     grads = [None] * (2 * len(Ws))
@@ -210,39 +205,44 @@ def backward(spec: ModelSpec, params: LayeredParams, batch: Batch) -> FlatStat:
         if i > 0:
             delta = delta @ Ws[i].T
             if spec.activation == "relu":
-                delta = delta * (acts[i] > 0)
+                np.multiply(delta, acts[i] > 0, out=delta)
             else:
-                delta = delta * (1.0 - acts[i] * acts[i])
+                delta *= 1.0 - acts[i] * acts[i]
     return BlockVector(params.names, tuple(grads))
 
 
-def as_batch(features: np.ndarray, labels: np.ndarray) -> Batch:
-    return Batch(features, labels)
+def forward_loss(spec: ModelSpec, params: LayeredParams, batch: Batch) -> float:
+    """Mean loss over the batch; cross-entropy via stable log-sum-exp."""
+    return _mean_loss(spec, _forward(spec, params, batch)[0], batch.labels)
 
 
-def full_gradient(spec: ModelSpec, params: LayeredParams, dataset) -> FlatStat:
-    """Exact mean gradient over all samples of a dataset (one big batch)."""
+def backward(spec: ModelSpec, params: LayeredParams, batch: Batch) -> FlatStat:
+    """Gradient of the mean batch loss with respect to every block."""
+    out, _, saved = _forward(spec, params, batch)
+    return _gradient(spec, params, batch, out, saved)
+
+
+def full_gradient(spec: ModelSpec, params: LayeredParams, dataset) -> tuple[float, FlatStat]:
+    """(mean loss, exact mean gradient) over a whole dataset, one pass each way."""
     if dataset.n < 1:
         raise ValueError("full_gradient over empty dataset")
-    return backward(spec, params, Batch(dataset.features, dataset.labels))
+    batch = Batch(dataset.features, dataset.labels)
+    out, _, saved = _forward(spec, params, batch)
+    return _mean_loss(spec, out, batch.labels), _gradient(spec, params, batch, out, saved)
 
 
 def evaluate(spec: ModelSpec, params: LayeredParams, dataset) -> tuple[float, float]:
-    """(accuracy, mean loss); argmax ties break toward the smallest class index.
+    """(accuracy, mean loss) from one forward pass; argmax ties break toward
+    the smallest class index.
 
     Linear regression has no class prediction; its accuracy reports 0.0.
     """
     if dataset.n < 1:
         raise ValueError("evaluate over empty dataset")
     batch = Batch(dataset.features, dataset.labels)
-    loss = forward_loss(spec, params, batch)
+    out, scores, _ = _forward(spec, params, batch)
+    loss = _mean_loss(spec, out, batch.labels)
     if spec.kind == "linear-regression":
         return 0.0, loss
-    if spec.kind == "logistic":
-        w, b = params.blocks
-        pred = (batch.features @ w + b[0] > 0).astype(np.intp)
-    else:
-        logits, _, _ = _mlp_forward(spec, params, batch.features)
-        pred = np.argmax(logits, axis=1)
-    acc = float(np.mean(pred == batch.labels.astype(np.intp)))
-    return acc, loss
+    pred = (scores > 0) if spec.kind == "logistic" else np.argmax(scores, axis=1)
+    return float(np.mean(pred == batch.labels.astype(np.intp))), loss

@@ -48,6 +48,14 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="expected 3 fields"):
             load_csv(f, d=2, k=2)
 
+    @pytest.mark.parametrize("bad_row, line", [("nan,1,0", 3), ("1,-inf,0", 4)])
+    def test_non_finite_feature_reports_line(self, tmp_path, bad_row, line):
+        f = tmp_path / "n.csv"
+        rows = ["1,0,1", "", "0,1,0"][: line - 1] + [bad_row, "1,1,1"]
+        f.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"n.csv:{line}: non-finite"):
+            load_csv(f, d=2, k=2)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.standard_normal((17, 5)), rng.integers(0, 3, 17), 3)

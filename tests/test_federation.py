@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from fedlamb import blocks
+from fedlamb import blocks, federation, models
 from fedlamb.blocks import BlockVector, lin_comb, norm_sq
 from fedlamb.data import ClientShard, Dataset, gen_blobs, minibatch_stream, partition_iid
 from fedlamb.federation import (
+    ADAPTIVE,
     PROTOCOLS,
     ProtocolError,
+    RoundError,
     RunConfig,
     ServerState,
     adp_fed_server_update,
@@ -23,7 +25,7 @@ from fedlamb.federation import (
     run_round,
     sample_clients,
 )
-from fedlamb.models import ModelSpec, backward
+from fedlamb.models import Batch, ModelSpec, backward, forward_loss
 from fedlamb.optim import Hyper, clipped
 
 import oracles
@@ -253,7 +255,7 @@ class TestLocalRound:
         server, clients = init_run(cfg)
         res = local_round(clients[0], server.params, clients[0].vhat, cfg, 1, 0.01)
         from fedlamb.models import full_gradient
-        want = full_gradient(cfg.spec, server.params, clients[0].shard.view(cfg.train))
+        _, want = full_gradient(cfg.spec, server.params, clients[0].shard.view(cfg.train))
         for a, b in zip(res.full_grad.blocks, want.blocks):
             np.testing.assert_array_equal(a, b)
 
@@ -420,6 +422,60 @@ class TestRunRound:
         server, clients = init_run(cfg)
         with pytest.raises(ValueError, match="round 1"):
             run_round(server, clients, cfg)
+
+    def test_error_without_single_message_constructor_tagged(self, monkeypatch):
+        # UnicodeDecodeError's constructor takes five arguments
+        original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        def fail(*args, **kwargs):
+            raise original
+
+        monkeypatch.setattr(federation, "local_round", fail)
+        cfg = make_cfg("fed-lamb", n=2)
+        server, clients = init_run(cfg)
+        with pytest.raises(UnicodeDecodeError, match="round 1: 'utf-8' codec") as info:
+            run_round(server, clients, cfg)
+        assert isinstance(info.value, RoundError)
+        assert info.value.__cause__ is original
+
+    def test_metric_pass_one_forward_per_dataset(self, monkeypatch):
+        for proto in PROTOCOLS:
+            cfg = make_cfg(proto, n=3, batch_size=8)
+            server, clients = init_run(cfg)
+            seen = {"train": 0, "test": 0}
+            forward = models._mlp_forward
+
+            def counting(spec, params, X):
+                if X is cfg.train.features:
+                    seen["train"] += 1
+                elif X is cfg.test.features:
+                    seen["test"] += 1
+                return forward(spec, params, X)
+
+            monkeypatch.setattr(models, "_mlp_forward", counting)
+            run_round(server, clients, cfg)
+            monkeypatch.undo()
+            assert seen == {"train": 1, "test": 1}, proto
+
+    def test_metrics_match_separate_passes_at_final_params(self):
+        cfg = make_cfg("fed-lamb", n=3, batch_size=8)
+        server, clients = init_run(cfg)
+        for _ in range(3):
+            m, _ = run_round(server, clients, cfg)
+        train = Batch(cfg.train.features, cfg.train.labels)
+        assert m.train_loss == forward_loss(cfg.spec, server.params, train)
+        assert m.grad_norm_sq == norm_sq(backward(cfg.spec, server.params, train))
+
+    def test_init_run_allocates_only_read_buffers(self):
+        for proto in PROTOCOLS:
+            server, clients = init_run(make_cfg(proto, n=3))
+            for c in clients:
+                assert c.vhat is server.vhat
+                assert (c.m is not None) == (proto in ADAPTIVE)
+                assert (c.momentum_buf is not None) == (proto == "fed-sgd")
+            bufs = [b for c in clients for b in (c.m, c.momentum_buf) if b is not None]
+            assert len({id(b) for b in bufs}) == (0 if proto == "adp-fed" else 1)
+            assert all(np.all(x == 0.0) for b in bufs for x in b.blocks)
 
     def test_grad_evals_double_for_mime(self):
         shared = dict(n=2, batch_size=8, seed=6)

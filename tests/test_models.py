@@ -22,6 +22,7 @@ import oracles
 MLP = ModelSpec("mlp", input_dim=6, hidden=(10,), classes=4)
 LOGISTIC = ModelSpec("logistic", input_dim=4, classes=2)
 LINREG = ModelSpec("linear-regression", input_dim=3)
+MLP_TANH = ModelSpec("mlp", input_dim=6, hidden=(10, 5), classes=4, activation="tanh")
 
 
 def random_batch(spec, rng, size=16):
@@ -170,7 +171,7 @@ class TestFullGradient:
         X = rng.standard_normal((1, MLP.input_dim))
         y = np.array([2])
         ds = Dataset(X, y, 4)
-        g1 = full_gradient(MLP, p, ds)
+        _, g1 = full_gradient(MLP, p, ds)
         g2 = backward(MLP, p, Batch(X, y))
         assert all(np.array_equal(a, b) for a, b in zip(g1.blocks, g2.blocks))
 
@@ -179,8 +180,8 @@ class TestFullGradient:
         p = random_params(LOGISTIC, rng)
         X = rng.standard_normal((6, 4))
         y = rng.integers(0, 2, 6)
-        base = full_gradient(LOGISTIC, p, Dataset(X, y, 2))
-        doubled = full_gradient(
+        _, base = full_gradient(LOGISTIC, p, Dataset(X, y, 2))
+        _, doubled = full_gradient(
             LOGISTIC, p, Dataset(np.vstack([X, X]), np.concatenate([y, y]), 2)
         )
         for a, b in zip(base.blocks, doubled.blocks):
@@ -191,7 +192,7 @@ class TestFullGradient:
         p = random_params(MLP, rng)
         X = rng.standard_normal((64, MLP.input_dim))
         y = rng.integers(0, 4, 64)
-        got = full_gradient(MLP, p, Dataset(X, y, 4))
+        _, got = full_gradient(MLP, p, Dataset(X, y, 4))
         per = [backward(MLP, p, Batch(X[i : i + 1], y[i : i + 1])) for i in range(64)]
         for bi in range(len(got.blocks)):
             want = np.mean([g.blocks[bi] for g in per], axis=0)
@@ -237,3 +238,53 @@ class TestEvaluate:
                     best, best_v = c, logits[i][c]
             correct += best == ds.labels[i]
         assert acc == correct / 100
+
+
+def reference_scores(spec, params, X):
+    """Class scores from plain numpy: column c is class c's score, so
+    np.argmax (first maximum wins) is the prediction rule."""
+    if spec.kind == "logistic":
+        w, b = params.blocks
+        z = X @ w + b[0]
+        return np.stack([np.zeros_like(z), z], axis=1)
+    sizes = spec.layer_sizes()
+    it = iter(params.blocks)
+    h = X
+    for i, (fi, fo) in enumerate(zip(sizes, sizes[1:]), start=1):
+        z = h @ next(it).reshape(fi, fo) + next(it)
+        if i < len(sizes) - 1:
+            h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
+    return z
+
+
+class TestFusedPasses:
+    """full_gradient and evaluate report the same bits as the separate passes."""
+
+    @pytest.mark.parametrize("spec", [LINREG, LOGISTIC, MLP, MLP_TANH])
+    def test_full_gradient_matches_forward_loss_and_backward(self, spec):
+        rng = np.random.default_rng(19)
+        p = random_params(spec, rng)
+        batch = random_batch(spec, rng, size=40)
+        loss, grad = full_gradient(spec, p, Dataset(batch.features, batch.labels, spec.classes))
+        assert loss == forward_loss(spec, p, batch)
+        want = backward(spec, p, batch)
+        assert grad.names == want.names
+        assert all(np.array_equal(a, b) for a, b in zip(grad.blocks, want.blocks))
+
+    @pytest.mark.parametrize("spec", [LINREG, LOGISTIC, MLP, MLP_TANH])
+    @pytest.mark.parametrize("zero", [False, True], ids=["random", "ties"])
+    def test_evaluate_matches_forward_loss_and_argmax(self, spec, zero):
+        rng = np.random.default_rng(20)
+        p = random_params(spec, rng)
+        if zero:  # every score equal: ties break toward class 0
+            p = zeros_like(p)
+        batch = random_batch(spec, rng, size=50)
+        acc, loss = evaluate(spec, p, Dataset(batch.features, batch.labels, spec.classes))
+        assert loss == forward_loss(spec, p, batch)
+        if spec.kind == "linear-regression":
+            assert acc == 0.0
+            return
+        pred = np.argmax(reference_scores(spec, p, batch.features), axis=1)
+        assert acc == float(np.mean(pred == batch.labels))
+        if zero:
+            assert acc == float(np.mean(batch.labels == 0))
