@@ -3,8 +3,6 @@
 from .blocks import (
     BlockVector,
     CongruenceError,
-    FlatStat,
-    LayeredParams,
     block_norms,
     ew_max,
     lin_comb,

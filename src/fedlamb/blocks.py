@@ -1,14 +1,18 @@
-"""Layered parameter containers and the blockwise arithmetic kernels.
+"""One flat parameter vector with a layered layout, and its arithmetic kernels.
 
 A model's parameters, gradients and optimizer moments all share one
-structure: an ordered list of named 1-D float64 blocks, one block per
-parameter tensor. Layer-wise operations (trust ratios, per-layer norms)
-act on blocks; dimension-wise operations act coordinatewise.
+structure: an ordered list of named blocks, one block per parameter tensor.
+A `BlockVector` stores them as one contiguous, read-only 1-D float64 `data`
+vector plus a `Layout` (block names and sizes) that every vector derived
+from it shares; `.blocks` are read-only views into `data`. Dimension-wise
+kernels are one numpy expression on `data`; layer-wise operations (trust
+ratios, per-layer norms) act on the views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,49 +22,66 @@ class CongruenceError(ValueError):
 
 
 @dataclass(frozen=True)
-class BlockVector:
-    """Ordered list of named, non-empty 1-D float64 blocks.
-
-    Immutable: the underlying arrays are marked read-only on construction,
-    so values are safe to share across concurrently simulated clients.
-    """
+class Layout:
+    """Block names and sizes; the slices of `data` follow from them."""
 
     names: tuple[str, ...]
-    blocks: tuple[np.ndarray, ...]
+    sizes: tuple[int, ...]
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.names) != len(self.blocks) or not self.blocks:
-            raise ValueError("names and blocks must be non-empty and aligned")
-        frozen = []
-        for name, block in zip(self.names, self.blocks):
-            arr = np.ascontiguousarray(block, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"block {name!r} must be a non-empty 1-D vector")
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
-        object.__setattr__(self, "names", tuple(self.names))
+        if not self.names or len(self.names) != len(self.sizes) or min(self.sizes) < 1:
+            raise ValueError("names and sizes must be non-empty, aligned and positive")
+        ends = np.cumsum(self.sizes).tolist()
+        object.__setattr__(self, "slices", tuple(map(slice, [0, *ends[:-1]], ends)))
+        object.__setattr__(self, "dim", ends[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class BlockVector:
+    """A layout and one contiguous 1-D float64 vector of `layout.dim` floats.
+
+    Immutable: `data` is marked read-only on construction, so values are
+    safe to share across concurrently simulated clients.
+    """
+
+    layout: Layout
+    data: np.ndarray
+
+    def __post_init__(self):
+        d = self.data
+        if not (isinstance(d, np.ndarray) and d.dtype == np.float64 and d.flags.c_contiguous
+                and d.shape == (self.layout.dim,)):
+            raise ValueError(f"data must be a contiguous float64 vector of {self.layout.dim} floats")
+        d.flags.writeable = False
 
     @classmethod
     def of(cls, pairs) -> "BlockVector":
         names, blocks = zip(*pairs)
-        return cls(tuple(names), tuple(np.asarray(b, dtype=np.float64) for b in blocks))
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        for name, b in zip(names, blocks):
+            if b.ndim != 1 or b.size == 0:
+                raise ValueError(f"block {name!r} must be a non-empty 1-D vector")
+        return cls(Layout(tuple(names), tuple(b.size for b in blocks)), np.concatenate(blocks))
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.layout.names
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.data[s] for s in self.layout.slices)
 
     @property
     def dim(self) -> int:
-        return sum(b.size for b in self.blocks)
+        return self.layout.dim
 
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+        return self.layout.sizes
 
     def congruent(self, other: "BlockVector") -> bool:
-        return self.names == other.names and self.block_sizes() == other.block_sizes()
-
-
-# Type aliases marking intent: model parameters vs. optimizer statistics
-# (gradient, moment, ratio) carried in the same container.
-LayeredParams = BlockVector
-FlatStat = BlockVector
+        return self.layout is other.layout or self.layout == other.layout
 
 
 def require_congruent(*xs: BlockVector):
@@ -73,27 +94,25 @@ def require_congruent(*xs: BlockVector):
             )
 
 
-def _rebuild(template: BlockVector, blocks) -> BlockVector:
-    return BlockVector(template.names, tuple(blocks))
-
-
 def zeros_like(x: BlockVector) -> BlockVector:
-    return _rebuild(x, (np.zeros(b.size) for b in x.blocks))
+    return BlockVector(x.layout, np.zeros(x.dim))
 
 
 def full_like(x: BlockVector, value: float) -> BlockVector:
-    return _rebuild(x, (np.full(b.size, float(value)) for b in x.blocks))
+    return BlockVector(x.layout, np.full(x.dim, float(value)))
 
 
 def block_norms(x: BlockVector) -> np.ndarray:
-    """Euclidean norm of every block, in block order."""
-    return np.array([np.linalg.norm(b) for b in x.blocks])
+    """Euclidean norm of every block, in block order: sqrt(b . b) per view,
+    the same dot np.linalg.norm takes. Not np.add.reduceat over the squares:
+    its pairwise summation moves the norms by ulps."""
+    return np.array([math.sqrt(b.dot(b)) for b in x.blocks])
 
 
 def ew_max(a: BlockVector, b: BlockVector) -> BlockVector:
     """Coordinatewise maximum."""
     require_congruent(a, b)
-    return _rebuild(a, (np.maximum(x, y) for x, y in zip(a.blocks, b.blocks)))
+    return BlockVector(a.layout, np.maximum(a.data, b.data))
 
 
 def ratio_div(m: BlockVector, v: BlockVector, floor: float) -> BlockVector:
@@ -106,32 +125,32 @@ def ratio_div(m: BlockVector, v: BlockVector, floor: float) -> BlockVector:
     require_congruent(m, v)
     if not floor > 0:
         raise ValueError("floor must be positive")
-    return _rebuild(
-        m, (x / np.sqrt(np.maximum(y, floor)) for x, y in zip(m.blocks, v.blocks))
-    )
+    return BlockVector(m.layout, m.data / np.sqrt(np.maximum(v.data, floor)))
 
 
 def lin_comb(a: float, x: BlockVector, b: float, y: BlockVector) -> BlockVector:
     """Coordinatewise a*x + b*y; shared kernel for averaging, decay and axpy."""
     require_congruent(x, y)
-    return _rebuild(x, (a * u + b * w for u, w in zip(x.blocks, y.blocks)))
+    return BlockVector(x.layout, a * x.data + b * y.data)
 
 
 def square(x: BlockVector) -> BlockVector:
     """Coordinatewise x * x."""
-    return _rebuild(x, (b * b for b in x.blocks))
+    return BlockVector(x.layout, x.data * x.data)
 
 
 def mean(xs: list[BlockVector]) -> BlockVector:
-    """Unweighted coordinatewise mean, summed in list order."""
+    """Unweighted coordinatewise mean, summed in place in list order."""
     if not xs:
         raise ValueError("mean of empty list")
-    acc = xs[0]
+    require_congruent(*xs)
+    acc = xs[0].data.copy()
     for x in xs[1:]:
-        acc = lin_comb(1.0, acc, 1.0, x)
-    return lin_comb(1.0 / len(xs), acc, 0.0, acc)
+        acc += x.data
+    acc *= 1.0 / len(xs)
+    return BlockVector(xs[0].layout, acc)
 
 
 def norm_sq(x: BlockVector) -> float:
-    """Squared Euclidean norm over all coordinates."""
+    """Squared Euclidean norm over all coordinates, summed block by block."""
     return float(sum(float(np.dot(b, b)) for b in x.blocks))

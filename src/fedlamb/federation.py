@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks
-from .blocks import BlockVector, FlatStat, LayeredParams, lin_comb, ew_max, ratio_div, square
+from .blocks import BlockVector, block_norms, lin_comb, ew_max, ratio_div, square
 from .data import ClientShard, Dataset, minibatch_stream
 # forward_loss is not called here, but perfbench's tracer reports the metric
 # pass only when it finds all three model passes under federation's names.
@@ -104,10 +104,10 @@ class RunConfig:
 
 @dataclass
 class ServerState:
-    params: LayeredParams
-    vhat: FlatStat | None = None     # adaptive protocols
-    m: FlatStat | None = None        # adp-fed server Adam
-    v: FlatStat | None = None        # adp-fed server Adam / mime moment
+    params: BlockVector
+    vhat: BlockVector | None = None  # adaptive protocols
+    m: BlockVector | None = None     # adp-fed server Adam
+    v: BlockVector | None = None     # adp-fed server Adam / mime moment
     round_index: int = 0
 
 
@@ -115,9 +115,9 @@ class ServerState:
 class ClientState:
     client_id: int
     shard: ClientShard
-    m: FlatStat | None = None            # carried first moment
-    momentum_buf: FlatStat | None = None  # fed-sgd momentum
-    vhat: FlatStat | None = None          # last received global v-hat
+    m: BlockVector | None = None             # carried first moment
+    momentum_buf: BlockVector | None = None  # fed-sgd momentum
+    vhat: BlockVector | None = None          # last received global v-hat
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,9 @@ class RoundMetrics:
 @dataclass
 class LocalResult:
     client_id: int
-    params: LayeredParams
-    v: FlatStat | None = None
-    full_grad: FlatStat | None = None
+    params: BlockVector
+    v: BlockVector | None = None
+    full_grad: BlockVector | None = None
     grad_evals: int = 0
     displacements: list = field(default_factory=list)
 
@@ -201,8 +201,8 @@ def lazy_sync_gate(r: int, Z: int) -> bool:
 
 def local_round(
     client: ClientState,
-    theta_bar: LayeredParams,
-    vhat: FlatStat | None,
+    theta_bar: BlockVector,
+    vhat: BlockVector | None,
     cfg: RunConfig,
     r: int,
     alpha_r: float,
@@ -277,23 +277,21 @@ def local_round(
 
 def _record_displacement(result, before, after, psi, alpha, lam, phi):
     """Per-block (actual displacement, alpha*phi(|theta|), fallback flag)."""
-    for theta, new, p in zip(before.blocks, after.blocks, psi.blocks):
-        u = p + lam * theta
-        u_norm = float(np.linalg.norm(u))
-        t_norm = float(np.linalg.norm(theta))
-        fallback = u_norm == 0.0 or t_norm == 0.0
-        disp = float(np.linalg.norm(new - theta))
-        result.displacements.append((disp, alpha * phi(t_norm), fallback))
+    t_norms = block_norms(before)
+    u_norms = block_norms(BlockVector(before.layout, psi.data + lam * before.data))
+    disp = block_norms(BlockVector(before.layout, after.data - before.data))
+    for d, t_norm, u_norm in zip(disp.tolist(), t_norms.tolist(), u_norms.tolist()):
+        result.displacements.append((d, alpha * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
 
 
-def aggregate_params(received: list[LayeredParams]) -> LayeredParams:
+def aggregate_params(received: list[BlockVector]) -> BlockVector:
     """Unweighted coordinatewise mean, summed in received (ascending id) order."""
     if not received:
         raise ProtocolError("no client models to aggregate")
     return blocks.mean(received)
 
 
-def aggregate_vhat_fedlamb(vhat_prev: FlatStat, received_v: list[FlatStat]) -> FlatStat:
+def aggregate_vhat_fedlamb(vhat_prev: BlockVector, received_v: list[BlockVector]) -> BlockVector:
     """v-hat' = max(v-hat, mean of received local second moments)."""
     if not received_v:
         raise ProtocolError("no client moments to aggregate")
@@ -301,8 +299,8 @@ def aggregate_vhat_fedlamb(vhat_prev: FlatStat, received_v: list[FlatStat]) -> F
 
 
 def mime_vhat_update(
-    v_prev: FlatStat, vhat_prev: FlatStat, full_grads: list[FlatStat], beta2: float
-) -> tuple[FlatStat, FlatStat]:
+    v_prev: BlockVector, vhat_prev: BlockVector, full_grads: list[BlockVector], beta2: float
+) -> tuple[BlockVector, BlockVector]:
     """Server-side moment update from full-data gradients at the global model:
     mean, decayed square accumulation, coordinatewise cap."""
     if not full_grads:
@@ -313,7 +311,7 @@ def mime_vhat_update(
 
 
 def adp_fed_server_update(
-    server: ServerState, deltas: list[FlatStat], eta_g: float, beta1: float, beta2: float
+    server: ServerState, deltas: list[BlockVector], eta_g: float, beta1: float, beta2: float
 ) -> None:
     """Server Adam step on the averaged model deltas.
 
@@ -326,10 +324,7 @@ def adp_fed_server_update(
     dbar = blocks.mean(deltas)
     server.m = lin_comb(beta1, server.m, 1.0 - beta1, dbar)
     server.v = lin_comb(beta2, server.v, 1.0 - beta2, square(dbar))
-    update = BlockVector(
-        server.m.names,
-        tuple(m / np.sqrt(v) for m, v in zip(server.m.blocks, server.v.blocks)),
-    )
+    update = BlockVector(server.m.layout, server.m.data / np.sqrt(server.v.data))
     server.params = lin_comb(1.0, server.params, eta_g, update)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockVector, LayeredParams, FlatStat
+from .blocks import BlockVector
 
 KINDS = ("linear-regression", "logistic", "mlp")
 ACTIVATIONS = ("relu", "tanh")
@@ -82,7 +82,7 @@ def param_template(spec: ModelSpec) -> list[tuple[str, int, int]]:
     return out
 
 
-def init_params(spec: ModelSpec, seed: int) -> LayeredParams:
+def init_params(spec: ModelSpec, seed: int) -> BlockVector:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases.
 
     The stream is keyed by the seed alone, so identical (spec, seed) gives
@@ -113,7 +113,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_batch(spec: ModelSpec, params: LayeredParams, batch: Batch):
+def _check_batch(spec: ModelSpec, params: BlockVector, batch: Batch):
     if batch.features.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature width {batch.features.shape[1]} != input_dim {spec.input_dim}"
@@ -123,7 +123,7 @@ def _check_batch(spec: ModelSpec, params: LayeredParams, batch: Batch):
         raise ValueError(f"params {params.names} do not match spec blocks {names}")
 
 
-def _mlp_weights(spec: ModelSpec, params: LayeredParams):
+def _mlp_weights(spec: ModelSpec, params: BlockVector):
     sizes = spec.layer_sizes()
     Ws, bs = [], []
     it = iter(params.blocks)
@@ -133,7 +133,7 @@ def _mlp_weights(spec: ModelSpec, params: LayeredParams):
     return Ws, bs
 
 
-def _mlp_forward(spec: ModelSpec, params: LayeredParams, X: np.ndarray):
+def _mlp_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
     """Returns (logits, input to each layer, weights); bias and activation
     are applied in place on each matmul's output."""
     Ws, bs = _mlp_weights(spec, params)
@@ -154,7 +154,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
-def _forward(spec: ModelSpec, params: LayeredParams, batch: Batch):
+def _forward(spec: ModelSpec, params: BlockVector, batch: Batch):
     """One forward pass: (out, scores, saved). The loss and its gradient start
     from `out` (residual, logit or log-probabilities), a class prediction from
     `scores`; `saved` holds the MLP's layer inputs and weights."""
@@ -180,49 +180,47 @@ def _mean_loss(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(out[np.arange(len(labels)), labels.astype(np.intp)]))
 
 
-def _gradient(spec: ModelSpec, params: LayeredParams, batch: Batch, out, saved) -> FlatStat:
+def _gradient(spec: ModelSpec, params: BlockVector, batch: Batch, out, saved) -> BlockVector:
     """Gradient of the mean batch loss from `_forward`'s `out` and `saved`."""
     X = batch.features
     n = len(batch)
     if spec.kind == "linear-regression":
-        gw = (2.0 / n) * (X.T @ out)
-        gb = np.array([2.0 * np.mean(out)])
-        return BlockVector.of([("w", gw), ("b", gb)])
+        return BlockVector(params.layout, np.append((2.0 / n) * (X.T @ out), 2.0 * np.mean(out)))
     if spec.kind == "logistic":
         err = _sigmoid(out) - batch.labels.astype(np.float64)
-        return BlockVector.of([("w", (X.T @ err) / n), ("b", np.array([np.mean(err)]))])
+        return BlockVector(params.layout, np.append((X.T @ err) / n, np.mean(err)))
 
     acts, Ws = saved
     idx = batch.labels.astype(np.intp)
     delta = np.exp(out)
     delta[np.arange(n), idx] -= 1.0
     delta /= n
-    grads = [None] * (2 * len(Ws))
+    flat = np.empty(params.dim)
+    views = [flat[s] for s in params.layout.slices]
     for i in range(len(Ws) - 1, -1, -1):
-        h = acts[i]
-        grads[2 * i] = (h.T @ delta).reshape(-1)
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=views[2 * i].reshape(Ws[i].shape))
+        delta.sum(axis=0, out=views[2 * i + 1])
         if i > 0:
             delta = delta @ Ws[i].T
             if spec.activation == "relu":
                 np.multiply(delta, acts[i] > 0, out=delta)
             else:
                 delta *= 1.0 - acts[i] * acts[i]
-    return BlockVector(params.names, tuple(grads))
+    return BlockVector(params.layout, flat)
 
 
-def forward_loss(spec: ModelSpec, params: LayeredParams, batch: Batch) -> float:
+def forward_loss(spec: ModelSpec, params: BlockVector, batch: Batch) -> float:
     """Mean loss over the batch; cross-entropy via stable log-sum-exp."""
     return _mean_loss(spec, _forward(spec, params, batch)[0], batch.labels)
 
 
-def backward(spec: ModelSpec, params: LayeredParams, batch: Batch) -> FlatStat:
+def backward(spec: ModelSpec, params: BlockVector, batch: Batch) -> BlockVector:
     """Gradient of the mean batch loss with respect to every block."""
     out, _, saved = _forward(spec, params, batch)
     return _gradient(spec, params, batch, out, saved)
 
 
-def full_gradient(spec: ModelSpec, params: LayeredParams, dataset) -> tuple[float, FlatStat]:
+def full_gradient(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, BlockVector]:
     """(mean loss, exact mean gradient) over a whole dataset, one pass each way."""
     if dataset.n < 1:
         raise ValueError("full_gradient over empty dataset")
@@ -231,7 +229,7 @@ def full_gradient(spec: ModelSpec, params: LayeredParams, dataset) -> tuple[floa
     return _mean_loss(spec, out, batch.labels), _gradient(spec, params, batch, out, saved)
 
 
-def evaluate(spec: ModelSpec, params: LayeredParams, dataset) -> tuple[float, float]:
+def evaluate(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, float]:
     """(accuracy, mean loss) from one forward pass; argmax ties break toward
     the smallest class index.
 

@@ -12,15 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    BlockVector,
-    FlatStat,
-    LayeredParams,
-    lin_comb,
-    ratio_div,
-    require_congruent,
-    square,
-)
+from .blocks import BlockVector, block_norms, lin_comb, ratio_div, require_congruent, square
 
 
 @dataclass(frozen=True)
@@ -47,8 +39,8 @@ class OptState:
     """Per-client optimizer memory, carried across the rounds a client
     participates in."""
 
-    m: FlatStat
-    v: FlatStat
+    m: BlockVector
+    v: BlockVector
     hyper: Hyper
 
 
@@ -81,12 +73,12 @@ def clipped(lo: float, hi: float) -> ScalingFn:
 
 
 def sgd_step(
-    params: LayeredParams,
-    g: FlatStat,
+    params: BlockVector,
+    g: BlockVector,
     alpha: float,
-    momentum_buf: FlatStat | None = None,
+    momentum_buf: BlockVector | None = None,
     mu: float = 0.0,
-) -> tuple[LayeredParams, FlatStat]:
+) -> tuple[BlockVector, BlockVector]:
     """buf' = mu*buf + g; params' = params - alpha*buf'. mu=0 is plain SGD."""
     require_congruent(params, g)
     if momentum_buf is None:
@@ -96,7 +88,7 @@ def sgd_step(
     return lin_comb(1.0, params, -alpha, buf), buf
 
 
-def moment_update(state: OptState, g: FlatStat) -> OptState:
+def moment_update(state: OptState, g: BlockVector) -> OptState:
     """One step of the first/second moment recursion (no bias correction)."""
     require_congruent(state.m, g)
     h = state.hyper
@@ -106,39 +98,35 @@ def moment_update(state: OptState, g: FlatStat) -> OptState:
 
 
 def amsgrad_step(
-    params: LayeredParams, m: FlatStat, vhat: FlatStat, alpha: float, eps: float
-) -> LayeredParams:
+    params: BlockVector, m: BlockVector, vhat: BlockVector, alpha: float, eps: float
+) -> BlockVector:
     """Dimension-wise adaptive step params - alpha * m / sqrt(max(vhat, eps))."""
     return lin_comb(1.0, params, -alpha, ratio_div(m, vhat, eps))
 
 
 def lamb_step(
-    params: LayeredParams,
-    psi: FlatStat,
+    params: BlockVector,
+    psi: BlockVector,
     alpha: float,
     lam: float = 0.0,
     phi: ScalingFn = IDENTITY,
-) -> LayeredParams:
+) -> BlockVector:
     """Layer-wise normalized step.
 
     Per block: u = psi + lam*theta; theta' = theta - alpha*phi(|theta|)*u/|u|.
-    Degenerate blocks: |u| = 0 leaves the block unchanged; |theta| = 0
+    One coefficient per block scales u on the whole vector.
+    Degenerate blocks: |u| = 0 gives coefficient 0 and leaves the block
+    unchanged (a -0.0 coordinate may become 0.0); |theta| = 0
     replaces the trust factor phi(|theta|)/|u| by 1 so zero-initialized
     bias blocks stay trainable under the identity scaling.
     """
     require_congruent(params, psi)
-    new_blocks = []
-    for theta, p in zip(params.blocks, psi.blocks):
-        u = p + lam * theta
-        u_norm = float(np.linalg.norm(u))
-        t_norm = float(np.linalg.norm(theta))
-        if u_norm == 0.0:
-            new_blocks.append(theta)
-        elif t_norm == 0.0:
-            new_blocks.append(theta - alpha * u)
-        else:
-            new_blocks.append(theta - (alpha * phi(t_norm) / u_norm) * u)
-    return BlockVector(params.names, tuple(new_blocks))
+    u = BlockVector(params.layout, psi.data + lam * params.data)
+    coef = [
+        0.0 if u_norm == 0.0 else alpha if t_norm == 0.0 else alpha * phi(t_norm) / u_norm
+        for u_norm, t_norm in zip(block_norms(u).tolist(), block_norms(params).tolist())
+    ]
+    return BlockVector(params.layout, params.data - np.repeat(coef, params.block_sizes()) * u.data)
 
 
 def milestone_lr(alpha0: float, r: int, milestones, factor: float) -> float:

@@ -90,7 +90,7 @@ def central_difference(loss_fn, params, block_i, coord_j, h=1e-5):
     def shifted(delta):
         blocks = [np.array(b, dtype=np.float64, copy=True) for b in params.blocks]
         blocks[block_i][coord_j] += delta
-        return type(params)(params.names, tuple(blocks))
+        return type(params).of(zip(params.names, blocks))
 
     return (loss_fn(shifted(h)) - loss_fn(shifted(-h))) / (2.0 * h)
 
@@ -105,7 +105,7 @@ def reference_lamb_single(spec, params0, batch_seq, alpha, beta1, beta2, lam, ep
     vhat = [np.full_like(b, eps) for b in theta]
     trajectory = []
     for batch in batch_seq:
-        cur = type(params0)(params0.names, tuple(np.array(b) for b in theta))
+        cur = type(params0).of(zip(params0.names, (np.array(b) for b in theta)))
         g = [np.asarray(b) for b in backward(spec, cur, batch).blocks]
         for i in range(len(theta)):
             m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
@@ -133,7 +133,7 @@ def reference_amsgrad_single(spec, params0, batch_seq, alpha, beta1, beta2, eps)
     vhat = [np.full_like(b, eps) for b in theta]
     trajectory = []
     for batch in batch_seq:
-        cur = type(params0)(params0.names, tuple(np.array(b) for b in theta))
+        cur = type(params0).of(zip(params0.names, (np.array(b) for b in theta)))
         g = [np.asarray(b) for b in backward(spec, cur, batch).blocks]
         for i in range(len(theta)):
             m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]

@@ -169,6 +169,15 @@ class TestProperties:
         with pytest.raises(ValueError):
             x.blocks[0][0] = 5.0
 
+    def test_flat_data_read_only_and_sized_by_layout(self):
+        x = bv(("a", [1.0, 2.0]), ("b", [3.0]))
+        with pytest.raises(ValueError):
+            x.blocks[1][0] = 5.0
+        with pytest.raises(ValueError):
+            x.data[0] = 5.0
+        with pytest.raises(ValueError):
+            BlockVector(x.layout, np.zeros(x.dim + 1))
+
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
             bv(("a", []))

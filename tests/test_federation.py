@@ -212,7 +212,7 @@ class TestAdpFedServer:
                 for e in range(cfg.local_epochs):
                     epoch = (r - 1) * cfg.local_epochs + e
                     for batch in minibatch_stream(cfg.train, shard, cfg.batch_size, epoch, cfg.seed):
-                        cur = BlockVector(server.params.names, tuple(np.array(b) for b in local))
+                        cur = BlockVector.of(zip(server.params.names, (np.array(b) for b in local)))
                         g = backward(cfg.spec, cur, batch)
                         local = [p - cfg.eta_local * gb for p, gb in zip(local, g.blocks)]
                 deltas.append([p - t for p, t in zip(local, theta)])
@@ -361,10 +361,10 @@ class TestRunRound:
         # the trust-ratio displacement law (zero-norm blocks fall back to an
         # unnormalized step that the bound does not cover)
         rng = np.random.default_rng(21)
-        server.params = BlockVector(
+        server.params = BlockVector.of(zip(
             server.params.names,
-            tuple(rng.standard_normal(b.shape) for b in server.params.blocks),
-        )
+            (rng.standard_normal(b.shape) for b in server.params.blocks),
+        ))
         out = []
         run_round(server, clients, cfg, client_params_out=out)
         h = len(server.params.blocks)

@@ -1,0 +1,130 @@
+"""Property tests: every flat kernel equals a per-block numpy reference bit for
+bit, keeps its input's layout object and leaves its inputs untouched.
+
+The references are the per-block loops the kernels replaced: one numpy
+expression per block, the same arithmetic in the same order.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from fedlamb.blocks import BlockVector, block_norms, ew_max, lin_comb, mean, ratio_div, square
+from fedlamb.optim import IDENTITY, clipped, lamb_step
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+SCALAR = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+SIZES = st.lists(st.integers(1, 40), min_size=1, max_size=6)
+
+
+@st.composite
+def vectors(draw, count):
+    """`count` vectors sharing one random layout (1-6 blocks of 1-40 floats)."""
+    sizes = draw(SIZES)
+    names = [f"blk{i}" for i in range(len(sizes))]
+    x = BlockVector.of(zip(names, (draw(st.lists(FINITE, min_size=s, max_size=s)) for s in sizes)))
+    out = [x]
+    for _ in range(count - 1):
+        values = draw(st.lists(FINITE, min_size=x.dim, max_size=x.dim))
+        out.append(BlockVector(x.layout, np.array(values, dtype=np.float64)))
+    return out
+
+
+def equal_blocks(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def check(kernel, xs, want):
+    """Run `kernel` on `xs`, then check bits, layout object and inputs."""
+    before = [x.data.copy() for x in xs]
+    out = kernel()
+    assert out.layout is xs[0].layout
+    assert equal_blocks(out.blocks, want)
+    assert all(np.array_equal(x.data, b) for x, b in zip(xs, before))
+
+
+@SETTINGS
+@given(vectors(2), SCALAR, SCALAR)
+def test_lin_comb(xs, a, b):
+    x, y = xs
+    check(lambda: lin_comb(a, x, b, y), xs, [a * u + b * w for u, w in zip(x.blocks, y.blocks)])
+
+
+@SETTINGS
+@given(vectors(2), st.sampled_from([1e-8, 1e-4, 1.0]))
+def test_ratio_div(xs, floor):
+    m, v = xs
+    want = [p / np.sqrt(np.maximum(q, floor)) for p, q in zip(m.blocks, v.blocks)]
+    check(lambda: ratio_div(m, v, floor), xs, want)
+
+
+@SETTINGS
+@given(vectors(1))
+def test_square(xs):
+    (x,) = xs
+    check(lambda: square(x), xs, [b * b for b in x.blocks])
+
+
+@SETTINGS
+@given(vectors(2))
+def test_ew_max(xs):
+    a, b = xs
+    check(lambda: ew_max(a, b), xs, [np.maximum(p, q) for p, q in zip(a.blocks, b.blocks)])
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(vectors))
+def test_mean(xs):
+    acc = list(xs[0].blocks)
+    for x in xs[1:]:
+        acc = [1.0 * p + 1.0 * q for p, q in zip(acc, x.blocks)]
+    want = [(1.0 / len(xs)) * p + 0.0 * p for p in acc]
+    check(lambda: mean(xs), xs, want)
+
+
+@SETTINGS
+@given(vectors(1))
+def test_block_norms(xs):
+    (x,) = xs
+    before = x.data.copy()
+    got = block_norms(x)
+    assert np.array_equal(got, [np.linalg.norm(b) for b in x.blocks])
+    assert np.array_equal(x.data, before)
+
+
+def reference_lamb(theta_blocks, psi_blocks, alpha, lam, phi):
+    out = []
+    for theta, p in zip(theta_blocks, psi_blocks):
+        u = p + lam * theta
+        u_norm = float(np.linalg.norm(u))
+        t_norm = float(np.linalg.norm(theta))
+        if u_norm == 0.0:
+            out.append(theta)
+        elif t_norm == 0.0:
+            out.append(theta - alpha * u)
+        else:
+            out.append(theta - (alpha * phi(t_norm) / u_norm) * u)
+    return out
+
+
+@SETTINGS
+@given(
+    vectors(2),
+    st.data(),
+    st.floats(1e-4, 1.0),
+    st.sampled_from([0.0, 0.01, 0.1]),
+    st.sampled_from([IDENTITY, clipped(0.5, 2.0), clipped(1e-3, 1e-2), clipped(1e3, 1e4)]),
+)
+def test_lamb_step(xs, data, alpha, lam, phi):
+    """Blocks with |theta| = 0 and with |u| = 0 included, phi clipped or not."""
+    theta, psi = xs
+    n = len(theta.blocks)
+    zero_theta = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    zero_u = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    t_blocks = [np.zeros_like(t) if z else t for t, z in zip(theta.blocks, zero_theta)]
+    p_blocks = [-(lam * t) if z else p for t, p, z in zip(t_blocks, psi.blocks, zero_u)]
+    theta = BlockVector(theta.layout, np.concatenate(t_blocks))
+    psi = BlockVector(theta.layout, np.concatenate(p_blocks))
+    want = reference_lamb(theta.blocks, psi.blocks, alpha, lam, phi)
+    check(lambda: lamb_step(theta, psi, alpha, lam, phi), [theta, psi], want)

@@ -74,7 +74,7 @@ class TestForwardLoss:
         blocks = list(p.blocks)
         blocks[p.names.index("W2")] = np.zeros_like(blocks[p.names.index("W2")])
         blocks[p.names.index("b2")] = np.zeros_like(blocks[p.names.index("b2")])
-        p = BlockVector(p.names, tuple(blocks))
+        p = BlockVector.of(zip(p.names, blocks))
         batch = random_batch(MLP, rng)
         assert forward_loss(MLP, p, batch) == pytest.approx(math.log(4), rel=1e-12)
 
@@ -211,7 +211,7 @@ class TestEvaluate:
         p = zeros_like(init_params(spec, 0))
         blocks = list(p.blocks)
         blocks[p.names.index("b2")] = np.array([0.0, 10.0])
-        p = BlockVector(p.names, tuple(blocks))
+        p = BlockVector.of(zip(p.names, blocks))
         ds = Dataset(rng.standard_normal((10, 4)), np.ones(10, dtype=int), 2)
         acc, _ = evaluate(spec, p, ds)
         assert acc == 1.0

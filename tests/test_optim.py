@@ -98,7 +98,7 @@ class TestAmsgradStep:
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
         p, m = random_bv(rng), random_bv(rng)
-        vhat = BlockVector(m.names, tuple(np.abs(b) for b in random_bv(rng).blocks))
+        vhat = BlockVector.of(zip(m.names, (np.abs(b) for b in random_bv(rng).blocks)))
         got = amsgrad_step(p, m, vhat, 0.07, 1e-8)
         want = oracles.o_amsgrad_step(
             oracles.to_lists(p), oracles.to_lists(m), oracles.to_lists(vhat), 0.07, 1e-8
@@ -164,7 +164,7 @@ class TestLambStep:
         for _ in range(20):
             p, psi = random_bv(rng), random_bv(rng)
             c = float(rng.uniform(0.1, 10.0))
-            scaled = BlockVector(psi.names, tuple(c * b for b in psi.blocks))
+            scaled = BlockVector.of(zip(psi.names, (c * b for b in psi.blocks)))
             a = lamb_step(p, psi, 0.05, 0.0, IDENTITY)
             b = lamb_step(p, scaled, 0.05, 0.0, IDENTITY)
             for x, y in zip(a.blocks, b.blocks):
