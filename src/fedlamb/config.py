@@ -1,17 +1,18 @@
 """Experiment configuration: a flat key=value text format.
 
-One `key = value` pair per line; `#` starts a comment. Lists are
-comma-separated. The full schema with defaults is in KEY_TYPES below and
-documented in the README.
+One `key = value` pair per line; `#` at the start of a line or after
+whitespace starts a comment. Lists are comma-separated. The full schema
+with defaults is ExperimentConfig below and is documented in the README.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .federation import PROTOCOLS
 from .models import ACTIVATIONS, KINDS
-from .optim import IDENTITY, ScalingFn, clipped
+from .optim import IDENTITY, Hyper, HyperError, ScalingFn, clipped, milestone_lr
 
 
 class ConfigError(ValueError):
@@ -60,7 +61,6 @@ class ExperimentConfig:
     # run control
     seed: int = 0
     repeat: int = 1
-    workers: int = 1
     out: str = ""
 
     def validate(self):
@@ -77,20 +77,28 @@ class ExperimentConfig:
         if self.input_dim < 1:
             raise ConfigError("key 'input_dim': must be >= 1")
         for key in ("n_clients", "rounds", "local_epochs", "batch_size",
-                    "classes", "repeat", "workers", "lazy_period"):
+                    "classes", "repeat", "lazy_period"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key '{key}': must be >= 1")
         if not 0 < self.participation <= 1:
             raise ConfigError("key 'participation': must be in (0, 1]")
-        if self.protocol == "adp-fed":
-            if not (self.eta_local > 0 and self.eta_global > 0):
-                raise ConfigError("key 'eta_local'/'eta_global': required for adp-fed")
-        elif not self.alpha > 0:
-            raise ConfigError("key 'alpha': must be positive")
-        if not self.eps > 0:
-            raise ConfigError("key 'eps': must be positive")
+        if self.protocol == "adp-fed" and not (self.eta_local > 0 and self.eta_global > 0):
+            raise ConfigError("key 'eta_local'/'eta_global': required for adp-fed")
+        try:
+            self.hyper()
+        except HyperError as exc:
+            raise ConfigError(f"key {exc.key!r}: {exc}") from exc
+        try:
+            milestone_lr(1.0, 1, self.milestones, self.lr_factor)  # checks their order
+        except ValueError as exc:
+            raise ConfigError(f"key 'milestones': {exc}") from exc
         self.scaling_fn()  # validates phi syntax
         return self
+
+    def hyper(self) -> Hyper:
+        """The engine's step hyperparameters; adp-fed's local rate is eta_local."""
+        alpha = self.eta_local if self.protocol == "adp-fed" else self.alpha
+        return Hyper(alpha=alpha, beta1=self.beta1, beta2=self.beta2, lam=self.lam, eps=self.eps)
 
     def scaling_fn(self) -> ScalingFn:
         if self.phi == "identity":
@@ -108,6 +116,8 @@ class ExperimentConfig:
 
 _INT_TUPLE_KEYS = {"hidden", "milestones"}
 _BOOL_KEYS = {"iid", "reshard_each_round"}
+# A comment starts at a `#` that begins the line or follows whitespace.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse_value(key: str, raw: str, kind):
@@ -136,7 +146,7 @@ def parse_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -149,14 +159,22 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def write_config(cfg: ExperimentConfig, path):
-    """Inverse of parse_config: one key = value line per field."""
+    """Inverse of parse_config: one key = value line per field. A value that
+    would not read back as written (a line break, surrounding whitespace, a
+    `#` that would start a comment) is rejected by key before any write."""
+    lines = []
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = repr(value)
+        value = str(value)
+        line = f"{f.name} = {value}"
+        if "\n" in value or "\r" in value or value != value.strip() or _COMMENT.search(line):
+            raise ConfigError(f"key {f.name!r}: value {value!r} would not read back as written")
+        lines.append(line + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for f in fields(ExperimentConfig):
-            value = getattr(cfg, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            fh.write(f"{f.name} = {value}\n")
+        fh.writelines(lines)

@@ -1,24 +1,17 @@
-"""Round-structured federated protocol engine.
-
-Implements six protocols over a shared round skeleton:
-
-  fed-sgd    local SGD (optional momentum), server averages models
-  adp-fed    local SGD, server runs an Adam step on the averaged deltas
-  fed-ams    local AMSGrad with per-client capping, server max-aggregates v
-  fed-lamb   local layer-wise adaptive steps, server max-aggregates v
-  mime       local dimension-wise adaptive steps, server tracks v from
-             full-data gradients at the global model
-  mime-lamb  layer-wise variant of mime
+"""Round-structured federated protocol engine. Each protocol is one record in
+TABLE, read by initialization, local training, aggregation and the ledger
+alike. Its rules are named; they look up the public helpers in this module's
+namespace when they run, so wrapping those names (tracing) changes nothing.
 
 Determinism contract: every emitted number is a pure function of
 (config, seed); client RNG streams are keyed, client work is independent,
-and reductions run in ascending client-id order regardless of worker count.
+and reductions run in ascending client-id order whatever order the local
+rounds ran in.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +24,27 @@ from .data import ClientShard, Dataset, minibatch_stream
 from .models import ModelSpec, NumericOverflowError, backward, evaluate, forward_loss, full_gradient, init_params
 from .optim import IDENTITY, Hyper, ScalingFn, amsgrad_step, lamb_step, milestone_lr, sgd_step
 
-PROTOCOLS = ("fed-sgd", "adp-fed", "fed-ams", "fed-lamb", "mime", "mime-lamb")
-ADAPTIVE = frozenset({"fed-ams", "fed-lamb", "mime", "mime-lamb"})
-LAMB_PROTOCOLS = frozenset({"fed-lamb", "mime-lamb"})
-MIME_PROTOCOLS = frozenset({"mime", "mime-lamb"})
+
+@dataclass(frozen=True)
+class Protocol:
+    """A protocol as the rules it composes and the payloads it uploads."""
+
+    local: str                    # local step rule: a method of _LocalRound
+    server: str                   # server rule: a method of ServerState
+    uplink: tuple[str, ...] = ()  # payloads besides the model: "moment", "gradient"
+    vhat: bool = False            # keeps a v-hat, broadcast on sync rounds
+
+
+TABLE = {
+    "fed-sgd": Protocol("momentum_sgd", "average"),
+    "adp-fed": Protocol("sgd", "adam"),
+    "fed-ams": Protocol("amsgrad", "max_mean_v", ("moment",), vhat=True),
+    "fed-lamb": Protocol("lamb", "max_mean_v", ("moment",), vhat=True),
+    "mime": Protocol("amsgrad", "full_grad_v", ("gradient",), vhat=True),
+    "mime-lamb": Protocol("lamb", "full_grad_v", ("gradient",), vhat=True),
+}
+PROTOCOLS = tuple(TABLE)
+ADAPTIVE = frozenset(name for name, proto in TABLE.items() if proto.vhat)
 
 _SAMPLE_TAG = 0x5E1
 
@@ -79,12 +89,11 @@ class RunConfig:
     lr_factor: float = 0.1
     phi: ScalingFn = IDENTITY
     momentum: float = 0.0
-    workers: int = 1
     lazy_gating: bool = True          # False = ungated reference path
     track_displacement: bool = False
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in TABLE:
             raise ProtocolError(f"unknown protocol {self.protocol!r}")
         if not 0 < self.participation <= 1:
             raise ValueError("participation must be in (0, 1]")
@@ -92,10 +101,10 @@ class RunConfig:
             raise ValueError("lazy_period must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if self.protocol == "adp-fed" and (
+        if TABLE[self.protocol].server == "adam" and (
             self.eta_local is None or self.eta_global is None
         ):
-            raise ValueError("adp-fed needs eta_local and eta_global")
+            raise ValueError(f"{self.protocol} needs eta_local and eta_global")
 
     @property
     def n(self) -> int:
@@ -104,11 +113,32 @@ class RunConfig:
 
 @dataclass
 class ServerState:
+    """The global model and server statistics. Its methods are the server
+    rules; each folds one round's local results (ascending client id) in."""
+
     params: BlockVector
     vhat: BlockVector | None = None  # adaptive protocols
     m: BlockVector | None = None     # adp-fed server Adam
     v: BlockVector | None = None     # adp-fed server Adam / mime moment
     round_index: int = 0
+
+    def average(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
+        self.params = aggregate_params([res.params for res in results])
+
+    def adam(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
+        deltas = [lin_comb(1.0, res.params, -1.0, self.params) for res in results]
+        adp_fed_server_update(self, deltas, cfg.eta_global, cfg.hyper.beta1, cfg.hyper.beta2)
+
+    def max_mean_v(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
+        self.average(results, cfg, gate)
+        if gate:
+            self.vhat = aggregate_vhat_fedlamb(self.vhat, [res.v for res in results])
+
+    def full_grad_v(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
+        self.average(results, cfg, gate)
+        if gate:
+            grads = [res.full_grad for res in results]
+            self.v, self.vhat = mime_vhat_update(self.v, self.vhat, grads, cfg.hyper.beta2)
 
 
 @dataclass
@@ -165,19 +195,18 @@ class LocalResult:
 def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
     """Common initialization: shared model init, v-hat = eps everywhere. Clients
     hold only the buffers their protocol reads, shared: block vectors are read-only."""
+    proto = TABLE[cfg.protocol]
     params = init_params(cfg.spec, cfg.seed)
-    eps = cfg.hyper.eps
     zeros = blocks.zeros_like(params)
     server = ServerState(params=params)
-    if cfg.protocol in ADAPTIVE:
-        server.vhat = blocks.full_like(params, eps)
-        if cfg.protocol in MIME_PROTOCOLS:
-            server.v = zeros
-    elif cfg.protocol == "adp-fed":
-        server.m = zeros
-        server.v = blocks.full_like(params, eps)
-    m = zeros if cfg.protocol in ADAPTIVE else None
-    buf = zeros if cfg.protocol == "fed-sgd" else None
+    if proto.vhat:
+        server.vhat = blocks.full_like(params, cfg.hyper.eps)
+    if proto.server == "full_grad_v":
+        server.v = zeros
+    elif proto.server == "adam":
+        server.m, server.v = zeros, blocks.full_like(params, cfg.hyper.eps)
+    m = zeros if proto.vhat else None
+    buf = zeros if proto.local == "momentum_sgd" else None
     clients = [ClientState(s.client_id, s, m, buf, server.vhat) for s in cfg.shards]
     return server, clients
 
@@ -207,81 +236,86 @@ def local_round(
     r: int,
     alpha_r: float,
 ) -> LocalResult:
-    """One client's local training for round r.
-
-    Resets the local model to the broadcast global model (and, on adaptive
-    paths, the local second moment to the broadcast v-hat), runs T local
-    epochs of mini-batch steps, and returns exactly the payloads the
-    protocol uploads. The carried first moment is updated in place.
-    """
-    proto = cfg.protocol
-    h = cfg.hyper
-    spec = cfg.spec
+    """One client's local training for round r: T epochs of the protocol's
+    local step rule from the broadcast model and v-hat. Returns exactly the
+    payloads the protocol uploads; carried buffers stay on the client."""
+    proto = TABLE[cfg.protocol]
     T = cfg.local_epochs
     result = LocalResult(client_id=client.client_id, params=theta_bar)
-
-    params = theta_bar
-    m = client.m
-    v = vhat          # line "v0 = v-hat" on adaptive paths
-    vhat_cap = vhat   # fed-ams per-client capped moment
-    buf = client.momentum_buf
-    lr = alpha_r  # run_round derives it from eta_local on the adp-fed path
-
-    if proto in MIME_PROTOCOLS:
+    if "gradient" in proto.uplink:
         shard_data = client.shard.view(cfg.train)
-        _, result.full_grad = full_gradient(spec, theta_bar, shard_data)
+        _, result.full_grad = full_gradient(cfg.spec, theta_bar, shard_data)
         result.grad_evals += shard_data.n
 
+    v0 = vhat if "moment" in proto.uplink else None  # line "v0 = v-hat"
+    s = _LocalRound(cfg, alpha_r, theta_bar, client.m, v0, vhat, client.momentum_buf, result.displacements)
+    rule = getattr(_LocalRound, proto.local)
     step = 0
     for e in range(T):
         epoch_id = (r - 1) * T + e
         for batch in minibatch_stream(cfg.train, client.shard, cfg.batch_size, epoch_id, cfg.seed):
             step += 1
             try:
-                g = backward(spec, params, batch)
+                g = backward(cfg.spec, s.params, batch)
             except NumericOverflowError as exc:
                 raise NumericOverflowError(
                     f"client {client.client_id}, local step {step}: {exc}"
                 ) from exc
             result.grad_evals += len(batch)
+            rule(s, g)
 
-            if proto == "fed-sgd":
-                params, buf = sgd_step(params, g, lr, buf, cfg.momentum)
-            elif proto == "adp-fed":
-                params, _ = sgd_step(params, g, lr)
-            elif proto in LAMB_PROTOCOLS:
-                m = lin_comb(h.beta1, m, 1.0 - h.beta1, g)
-                if proto == "fed-lamb":
-                    v = lin_comb(h.beta2, v, 1.0 - h.beta2, square(g))
-                psi = ratio_div(m, vhat, h.eps)  # v-hat frozen for the round
-                before = params
-                params = lamb_step(params, psi, alpha_r, h.lam, cfg.phi)
-                if cfg.track_displacement:
-                    _record_displacement(result, before, params, psi, alpha_r, h.lam, cfg.phi)
-            elif proto == "mime":
-                m = lin_comb(h.beta1, m, 1.0 - h.beta1, g)
-                params = amsgrad_step(params, m, vhat, alpha_r, h.eps)
-            elif proto == "fed-ams":
-                m = lin_comb(h.beta1, m, 1.0 - h.beta1, g)
-                v = lin_comb(h.beta2, v, 1.0 - h.beta2, square(g))
-                vhat_cap = ew_max(vhat_cap, v)
-                params = amsgrad_step(params, m, vhat_cap, alpha_r, h.eps)
-
-    client.m = m
-    client.momentum_buf = buf
-    result.params = params
-    if proto in ("fed-lamb", "fed-ams"):
-        result.v = v
+    client.m, client.momentum_buf = s.m, s.buf
+    result.params, result.v = s.params, s.v
     return result
 
 
-def _record_displacement(result, before, after, psi, alpha, lam, phi):
-    """Per-block (actual displacement, alpha*phi(|theta|), fallback flag)."""
-    t_norms = block_norms(before)
-    u_norms = block_norms(BlockVector(before.layout, psi.data + lam * before.data))
-    disp = block_norms(BlockVector(before.layout, after.data - before.data))
-    for d, t_norm, u_norm in zip(disp.tolist(), t_norms.tolist(), u_norms.tolist()):
-        result.displacements.append((d, alpha * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
+@dataclass
+class _LocalRound:
+    """One client's local round in progress; its methods are the local step rules."""
+
+    cfg: RunConfig
+    lr: float
+    params: BlockVector
+    m: BlockVector | None     # carried first moment (adaptive rules)
+    v: BlockVector | None     # local second moment, tracked only when uploaded
+    vhat: BlockVector | None  # v-hat the adaptive rules divide by
+    buf: BlockVector | None   # momentum buffer (momentum_sgd)
+    displacements: list
+
+    def sgd(self, g: BlockVector) -> None:
+        self.params, _ = sgd_step(self.params, g, self.lr)
+
+    def momentum_sgd(self, g: BlockVector) -> None:
+        self.params, self.buf = sgd_step(self.params, g, self.lr, self.buf, self.cfg.momentum)
+
+    def amsgrad(self, g: BlockVector) -> None:
+        """Dimension-wise step. A client that tracks its own v steps against
+        the running cap max(v-hat, v) (fed-ams); otherwise against v-hat (mime)."""
+        self._moments(g)
+        if self.v is not None:
+            self.vhat = ew_max(self.vhat, self.v)
+        self.params = amsgrad_step(self.params, self.m, self.vhat, self.lr, self.cfg.hyper.eps)
+
+    def lamb(self, g: BlockVector) -> None:
+        """Layer-wise trust-ratio step against v-hat, frozen for the round. With
+        track_displacement, records per block (actual displacement,
+        alpha*phi(|theta|), fallback flag)."""
+        h, phi = self.cfg.hyper, self.cfg.phi
+        self._moments(g)
+        psi = ratio_div(self.m, self.vhat, h.eps)
+        before, self.params = self.params, lamb_step(self.params, psi, self.lr, h.lam, phi)
+        if self.cfg.track_displacement:
+            t_norms = block_norms(before)
+            u_norms = block_norms(BlockVector(before.layout, psi.data + h.lam * before.data))
+            disp = block_norms(BlockVector(before.layout, self.params.data - before.data))
+            for d, t_norm, u_norm in zip(disp.tolist(), t_norms.tolist(), u_norms.tolist()):
+                self.displacements.append((d, self.lr * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
+
+    def _moments(self, g: BlockVector) -> None:
+        h = self.cfg.hyper
+        self.m = lin_comb(h.beta1, self.m, 1.0 - h.beta1, g)
+        if self.v is not None:
+            self.v = lin_comb(h.beta2, self.v, 1.0 - h.beta2, square(g))
 
 
 def aggregate_params(received: list[BlockVector]) -> BlockVector:
@@ -329,27 +363,20 @@ def adp_fed_server_update(
 
 
 def comm_account(protocol: str, p: int, participants: int, r: int, Z: int) -> CommEntry:
-    """Closed-form float counts for one round.
-
-    Uplink per participant: one tensor (model or delta) for fed-sgd and
-    adp-fed; model plus moment for fed-ams/fed-lamb; model plus full
-    gradient for the mime variants. Downlink per participant: the global
-    model, plus v-hat on synchronization rounds for adaptive protocols.
-    """
-    if protocol not in PROTOCOLS:
+    """Closed-form float counts for one round. Per participant: the model
+    each way, each of the protocol's uplink payloads up, and v-hat down on
+    synchronization rounds if the protocol keeps one."""
+    if protocol not in TABLE:
         raise ProtocolError(f"unknown protocol {protocol!r}")
-    up_moment = p * participants if protocol in ("fed-ams", "fed-lamb") else 0
-    up_grad = p * participants if protocol in MIME_PROTOCOLS else 0
-    down_moment = 0
-    if protocol in ADAPTIVE and lazy_sync_gate(r, Z):
-        down_moment = p * participants
+    proto = TABLE[protocol]
+    tensors = p * participants
     return CommEntry(
         round=r,
-        uplink_model=p * participants,
-        uplink_moment=up_moment,
-        uplink_gradient=up_grad,
-        downlink_model=p * participants,
-        downlink_moment=down_moment,
+        uplink_model=tensors,
+        uplink_moment=tensors if "moment" in proto.uplink else 0,
+        uplink_gradient=tensors if "gradient" in proto.uplink else 0,
+        downlink_model=tensors,
+        downlink_moment=tensors if proto.vhat and lazy_sync_gate(r, Z) else 0,
     )
 
 
@@ -361,38 +388,22 @@ def run_round(
     displacement_out: list | None = None,
 ) -> tuple[RoundMetrics, CommEntry]:
     """One full round: sample, broadcast, local training, aggregate, account.
-
-    Local rounds for distinct clients may run on a thread pool; results are
-    reduced in ascending client-id order so the trajectory is independent
-    of the worker count.
-    """
+    Local results are reduced in ascending client-id order."""
     t0 = time.perf_counter()
     r = server.round_index + 1
-    proto = cfg.protocol
+    proto = TABLE[cfg.protocol]
     try:
         ids = sample_clients(cfg.n, cfg.participation, r, cfg.seed)
         gate = (not cfg.lazy_gating) or lazy_sync_gate(r, cfg.lazy_period)
 
-        if proto in ADAPTIVE and gate:
+        if proto.vhat and gate:
             for i in ids:
                 clients[i].vhat = server.vhat
 
-        alpha_r = milestone_lr(
-            cfg.eta_local if proto == "adp-fed" else cfg.hyper.alpha,
-            r,
-            cfg.milestones,
-            cfg.lr_factor,
-        )
-        theta_prev = server.params
-
-        def work(i: int) -> LocalResult:
-            return local_round(clients[i], theta_prev, clients[i].vhat, cfg, r, alpha_r)
-
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(work, ids))
-        else:
-            results = [work(i) for i in ids]
+        # the server-Adam protocol (adp-fed) steps locally at eta_local
+        alpha0 = cfg.eta_local if proto.server == "adam" else cfg.hyper.alpha
+        alpha_r = milestone_lr(alpha0, r, cfg.milestones, cfg.lr_factor)
+        results = [local_round(clients[i], server.params, clients[i].vhat, cfg, r, alpha_r) for i in ids]
         results.sort(key=lambda res: res.client_id)
 
         if client_params_out is not None:
@@ -401,26 +412,12 @@ def run_round(
             for res in results:
                 displacement_out.extend(res.displacements)
 
-        if proto == "adp-fed":
-            deltas = [lin_comb(1.0, res.params, -1.0, theta_prev) for res in results]
-            adp_fed_server_update(
-                server, deltas, cfg.eta_global, cfg.hyper.beta1, cfg.hyper.beta2
-            )
-        else:
-            server.params = aggregate_params([res.params for res in results])
-            if proto in ("fed-lamb", "fed-ams") and gate:
-                server.vhat = aggregate_vhat_fedlamb(
-                    server.vhat, [res.v for res in results]
-                )
-            elif proto in MIME_PROTOCOLS and gate:
-                server.v, server.vhat = mime_vhat_update(
-                    server.v, server.vhat, [res.full_grad for res in results], cfg.hyper.beta2
-                )
+        getattr(server, proto.server)(results, cfg, gate)
         server.round_index = r
     except Exception as exc:
         raise _round_error(exc, r) from exc
 
-    comm = comm_account(proto, server.params.dim, len(ids), r, cfg.lazy_period)
+    comm = comm_account(cfg.protocol, server.params.dim, len(ids), r, cfg.lazy_period)
     train_loss, grad = full_gradient(cfg.spec, server.params, cfg.train)
     test_acc, _ = evaluate(cfg.spec, server.params, cfg.test)
     metrics = RoundMetrics(

@@ -15,6 +15,14 @@ import numpy as np
 from .blocks import BlockVector, block_norms, lin_comb, ratio_div, require_congruent, square
 
 
+class HyperError(ValueError):
+    """A hyperparameter is out of range; `key` names it."""
+
+    def __init__(self, key: str, rule: str):
+        super().__init__(f"{key} {rule}")
+        self.key = key
+
+
 @dataclass(frozen=True)
 class Hyper:
     alpha: float
@@ -24,14 +32,15 @@ class Hyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1, beta2 must be in [0, 1)")
-        if not 0 <= self.lam <= 1:
-            raise ValueError("lam must be in [0, 1]")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        for key, ok, rule in (
+            ("alpha", self.alpha > 0, "must be positive"),
+            ("beta1", 0 <= self.beta1 < 1, "must be in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "must be in [0, 1)"),
+            ("lam", 0 <= self.lam <= 1, "must be in [0, 1]"),
+            ("eps", self.eps > 0, "must be positive"),
+        ):
+            if not ok:
+                raise HyperError(key, rule)
 
 
 @dataclass

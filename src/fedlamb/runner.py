@@ -15,7 +15,6 @@ from .config import ConfigError, ExperimentConfig
 from .data import Dataset, gen_blobs, load_csv, partition_iid, partition_label_shards
 from .federation import RoundMetrics, RunConfig, init_run, run_round
 from .models import ModelSpec
-from .optim import Hyper
 
 METRIC_COLUMNS = (
     "round",
@@ -76,15 +75,13 @@ def build_shards(cfg: ExperimentConfig, train: Dataset, seed: int):
 
 def build_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
     train, test = build_datasets(cfg, seed)
-    alpha = cfg.alpha if cfg.protocol != "adp-fed" else cfg.eta_local
     return RunConfig(
         protocol=cfg.protocol,
         spec=build_model_spec(cfg),
         train=train,
         test=test,
         shards=build_shards(cfg, train, seed),
-        hyper=Hyper(alpha=alpha, beta1=cfg.beta1, beta2=cfg.beta2,
-                    lam=cfg.lam, eps=cfg.eps),
+        hyper=cfg.hyper(),
         eta_local=cfg.eta_local or None,
         eta_global=cfg.eta_global or None,
         local_epochs=cfg.local_epochs,
@@ -96,7 +93,6 @@ def build_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
         lr_factor=cfg.lr_factor,
         phi=cfg.scaling_fn(),
         momentum=cfg.momentum,
-        workers=cfg.workers,
     )
 
 

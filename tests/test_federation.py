@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from fedlamb.data import ClientShard, Dataset, gen_blobs, minibatch_stream, part
 from fedlamb.federation import (
     ADAPTIVE,
     PROTOCOLS,
+    TABLE,
     ProtocolError,
     RoundError,
     RunConfig,
@@ -372,10 +375,16 @@ class TestRunRound:
         for theta_i in out[-1]:
             assert dist(server.params, theta_i) <= bound + 1e-12
 
-    def test_worker_count_invariance(self):
+    def test_client_order_invariance(self, monkeypatch):
+        # the sampled clients' local rounds run in ascending, then in reversed
+        # id order; the reduction order, and so every number, stays the same
+        ascending = federation.sample_clients
         finals = []
-        for workers in (1, 4):
-            cfg = make_cfg("fed-lamb", n=6, workers=workers, participation=0.5)
+        for order in (1, -1):
+            monkeypatch.setattr(
+                federation, "sample_clients", lambda *args, order=order: ascending(*args)[::order]
+            )
+            cfg = make_cfg("fed-lamb", n=6, participation=0.5)
             server, clients = init_run(cfg)
             rows = []
             for _ in range(4):
@@ -476,6 +485,58 @@ class TestRunRound:
             bufs = [b for c in clients for b in (c.m, c.momentum_buf) if b is not None]
             assert len({id(b) for b in bufs}) == (0 if proto == "adp-fed" else 1)
             assert all(np.all(x == 0.0) for b in bufs for x in b.blocks)
+
+    def test_wrapped_public_names_change_nothing(self, monkeypatch):
+        # a tracer replaces federation's public functions by wrappers; the
+        # protocol rules must reach the helpers through the module namespace
+        # at call time, never by holding or comparing their function objects
+        def three_rounds():
+            rows = {}
+            for proto in TABLE:
+                cfg = make_cfg(proto, n=3, batch_size=8)
+                server, clients = init_run(cfg)
+                rows[proto] = [
+                    dataclasses.replace(run_round(server, clients, cfg)[0], wall_time=0.0)
+                    for _ in range(3)
+                ]
+            return rows
+
+        def pass_through(fn):
+            return lambda *args, **kwargs: fn(*args, **kwargs)
+
+        plain = three_rounds()
+        public = [
+            (name, obj) for name, obj in vars(federation).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+        ]
+        assert {"aggregate_vhat_fedlamb", "mime_vhat_update", "lamb_step", "local_round"} <= {
+            name for name, _ in public
+        }
+        for name, fn in public:
+            monkeypatch.setattr(federation, name, pass_through(fn))
+        assert three_rounds() == plain
+
+    def test_uploads_match_ledger_and_clients_keep_their_buffers(self, monkeypatch):
+        def held(client):
+            return {k for k in ("m", "momentum_buf", "vhat") if getattr(client, k) is not None}
+
+        local = federation.local_round
+        for proto in TABLE:
+            seen = []
+            monkeypatch.setattr(
+                federation, "local_round", lambda *args: seen.append(local(*args)) or seen[-1]
+            )
+            cfg = make_cfg(proto, n=3, batch_size=8)
+            server, clients = init_run(cfg)
+            given = [held(c) for c in clients]
+            _, comm = run_round(server, clients, cfg)
+            monkeypatch.undo()
+            assert len(seen) == 3, proto
+            for res in seen:
+                assert (res.v is not None) == (comm.uplink_moment > 0), proto
+                assert (res.full_grad is not None) == (comm.uplink_gradient > 0), proto
+            assert [held(c) for c in clients] == given, proto
+            assert all((c.momentum_buf is not None) == (proto == "fed-sgd") for c in clients), proto
 
     def test_grad_evals_double_for_mime(self):
         shared = dict(n=2, batch_size=8, seed=6)
