@@ -24,6 +24,6 @@ from .federation import (
     sample_clients,
 )
 from .models import Batch, ModelSpec, backward, evaluate, forward_loss, full_gradient, init_params
-from .optim import Hyper, OptState, ScalingFn, amsgrad_step, clipped, lamb_step, milestone_lr, moment_update, sgd_step
+from .optim import Hyper, ScalingFn, amsgrad_step, clipped, lamb_step, milestone_lr, moment_update, sgd_step
 
 __version__ = "0.1.0"

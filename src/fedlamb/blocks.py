@@ -77,9 +77,6 @@ class BlockVector:
     def dim(self) -> int:
         return self.layout.dim
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return self.layout.sizes
-
     def congruent(self, other: "BlockVector") -> bool:
         return self.layout is other.layout or self.layout == other.layout
 
@@ -89,8 +86,8 @@ def require_congruent(*xs: BlockVector):
     for other in xs[1:]:
         if not first.congruent(other):
             raise CongruenceError(
-                f"block structure mismatch: {first.names} {first.block_sizes()} "
-                f"vs {other.names} {other.block_sizes()}"
+                f"block structure mismatch: {first.names} {first.layout.sizes} "
+                f"vs {other.names} {other.layout.sizes}"
             )
 
 

@@ -16,7 +16,7 @@ def _load(path, seed, repeat) -> ExperimentConfig:
         cfg.seed = seed
     if repeat is not None:
         cfg.repeat = repeat
-    return cfg
+    return cfg.validate()
 
 
 @click.group()

@@ -82,6 +82,8 @@ class ExperimentConfig:
                 raise ConfigError(f"key '{key}': must be >= 1")
         if not 0 < self.participation <= 1:
             raise ConfigError("key 'participation': must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError("key 'seed': must be >= 0")
         if self.protocol == "adp-fed" and not (self.eta_local > 0 and self.eta_global > 0):
             raise ConfigError("key 'eta_local'/'eta_global': required for adp-fed")
         try:

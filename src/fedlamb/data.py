@@ -144,7 +144,7 @@ def gen_blobs(
 
 def partition_iid(dataset: Dataset, n: int, seed: int) -> list[ClientShard]:
     """Seed-determined permutation split into n near-equal shards."""
-    if dataset.n < n:
+    if not 1 <= n <= dataset.n:
         raise PartitionError(f"cannot split {dataset.n} samples over {n} clients")
     perm = np.random.default_rng([_IID_TAG, seed]).permutation(dataset.n)
     base, extra = divmod(dataset.n, n)

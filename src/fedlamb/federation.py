@@ -19,10 +19,12 @@ import numpy as np
 from . import blocks
 from .blocks import BlockVector, block_norms, lin_comb, ew_max, ratio_div, square
 from .data import ClientShard, Dataset, minibatch_stream
-# forward_loss is not called here, but perfbench's tracer reports the metric
-# pass only when it finds all three model passes under federation's names.
+# ratio_div and forward_loss are not called here, but perfbench's tracer reports
+# blocks.ratio_div and the metric pass only when it finds them under federation's names.
 from .models import ModelSpec, NumericOverflowError, backward, evaluate, forward_loss, full_gradient, init_params
-from .optim import IDENTITY, Hyper, ScalingFn, amsgrad_step, lamb_step, milestone_lr, sgd_step
+from .optim import (
+    IDENTITY, Hyper, ScalingFn, amsgrad_step, denominator, lamb_step, milestone_lr, moment_update, sgd_step,
+)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ class RunConfig:
     test: Dataset
     shards: list[ClientShard]
     hyper: Hyper
-    eta_local: float | None = None    # adp-fed only
     eta_global: float | None = None   # adp-fed only
     local_epochs: int = 1
     batch_size: int = 64
@@ -101,10 +102,8 @@ class RunConfig:
             raise ValueError("lazy_period must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if TABLE[self.protocol].server == "adam" and (
-            self.eta_local is None or self.eta_global is None
-        ):
-            raise ValueError(f"{self.protocol} needs eta_local and eta_global")
+        if TABLE[self.protocol].server == "adam" and self.eta_global is None:
+            raise ValueError(f"{self.protocol} needs eta_global")
 
     @property
     def n(self) -> int:
@@ -256,66 +255,66 @@ def local_round(
         for batch in minibatch_stream(cfg.train, client.shard, cfg.batch_size, epoch_id, cfg.seed):
             step += 1
             try:
-                g = backward(cfg.spec, s.params, batch)
+                g = backward(cfg.spec, s.view, batch)
             except NumericOverflowError as exc:
                 raise NumericOverflowError(
                     f"client {client.client_id}, local step {step}: {exc}"
                 ) from exc
             result.grad_evals += len(batch)
-            rule(s, g)
+            rule(s, g.data)
 
-    client.m, client.momentum_buf = s.m, s.buf
-    result.params, result.v = s.params, s.v
+    client.m, client.momentum_buf, result.params, result.v = (
+        None if a is None else BlockVector(s.layout, a) for a in (s.m, s.buf, s.theta, s.v))
     return result
 
 
-@dataclass
 class _LocalRound:
-    """One client's local round in progress; its methods are the local step rules."""
+    """One client's local round in progress; its methods are the local step
+    rules. It owns mutable flat buffers, copied once from the broadcast
+    read-only vectors and updated in place by every step; local_round freezes
+    them into block vectors at round end. `view` is the read-only block vector
+    over theta that backward reads within a step."""
 
-    cfg: RunConfig
-    lr: float
-    params: BlockVector
-    m: BlockVector | None     # carried first moment (adaptive rules)
-    v: BlockVector | None     # local second moment, tracked only when uploaded
-    vhat: BlockVector | None  # v-hat the adaptive rules divide by
-    buf: BlockVector | None   # momentum buffer (momentum_sgd)
-    displacements: list
+    def __init__(self, cfg, lr, theta_bar, m, v, vhat, buf, displacements):
+        self.cfg, self.lr, self.displacements, self.layout = cfg, lr, displacements, theta_bar.layout
+        # the model, carried first moment, local second moment if uploaded, momentum buffer
+        self.theta, self.m, self.v, self.buf = (None if x is None else x.data.copy() for x in (theta_bar, m, v, buf))
+        self.view = BlockVector(self.layout, self.theta.view())
+        # v-hat, copied where the client tracks v and may raise it, and the
+        # sqrt(max(v-hat, eps)) the adaptive steps divide by
+        self.vhat = None if vhat is None else vhat.data.copy() if v is not None else vhat.data
+        self.denom = None if vhat is None else denominator(self.vhat, cfg.hyper.eps, out=np.empty_like(self.theta))
+        self.tmp, self.psi = np.empty_like(self.theta), np.empty_like(self.theta)
 
-    def sgd(self, g: BlockVector) -> None:
-        self.params, _ = sgd_step(self.params, g, self.lr)
+    def sgd(self, g: np.ndarray) -> None:
+        sgd_step(self.theta, g, self.lr, tmp=self.tmp)
 
-    def momentum_sgd(self, g: BlockVector) -> None:
-        self.params, self.buf = sgd_step(self.params, g, self.lr, self.buf, self.cfg.momentum)
+    def momentum_sgd(self, g: np.ndarray) -> None:
+        sgd_step(self.theta, g, self.lr, self.buf, self.cfg.momentum, tmp=self.tmp)
 
-    def amsgrad(self, g: BlockVector) -> None:
+    def amsgrad(self, g: np.ndarray) -> None:
         """Dimension-wise step. A client that tracks its own v steps against
         the running cap max(v-hat, v) (fed-ams); otherwise against v-hat (mime)."""
-        self._moments(g)
+        h = self.cfg.hyper
+        moment_update(self.m, self.v, g, h.beta1, h.beta2, tmp=self.tmp)
         if self.v is not None:
-            self.vhat = ew_max(self.vhat, self.v)
-        self.params = amsgrad_step(self.params, self.m, self.vhat, self.lr, self.cfg.hyper.eps)
+            np.maximum(self.vhat, self.v, out=self.vhat)
+            denominator(self.vhat, h.eps, out=self.denom)
+        amsgrad_step(self.theta, self.m, self.denom, self.lr, tmp=self.tmp)
 
-    def lamb(self, g: BlockVector) -> None:
+    def lamb(self, g: np.ndarray) -> None:
         """Layer-wise trust-ratio step against v-hat, frozen for the round. With
         track_displacement, records per block (actual displacement,
         alpha*phi(|theta|), fallback flag)."""
         h, phi = self.cfg.hyper, self.cfg.phi
-        self._moments(g)
-        psi = ratio_div(self.m, self.vhat, h.eps)
-        before, self.params = self.params, lamb_step(self.params, psi, self.lr, h.lam, phi)
-        if self.cfg.track_displacement:
-            t_norms = block_norms(before)
-            u_norms = block_norms(BlockVector(before.layout, psi.data + h.lam * before.data))
-            disp = block_norms(BlockVector(before.layout, self.params.data - before.data))
-            for d, t_norm, u_norm in zip(disp.tolist(), t_norms.tolist(), u_norms.tolist()):
+        moment_update(self.m, self.v, g, h.beta1, h.beta2, tmp=self.tmp)
+        np.divide(self.m, self.denom, out=self.psi)
+        before = self.theta.copy() if self.cfg.track_displacement else None
+        norms = lamb_step(self.theta, self.psi, self.lr, h.lam, phi, layout=self.layout, tmp=self.tmp)
+        if before is not None:
+            disp = block_norms(BlockVector(self.layout, self.theta - before))
+            for d, (t_norm, u_norm) in zip(disp.tolist(), norms):
                 self.displacements.append((d, self.lr * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
-
-    def _moments(self, g: BlockVector) -> None:
-        h = self.cfg.hyper
-        self.m = lin_comb(h.beta1, self.m, 1.0 - h.beta1, g)
-        if self.v is not None:
-            self.v = lin_comb(h.beta2, self.v, 1.0 - h.beta2, square(g))
 
 
 def aggregate_params(received: list[BlockVector]) -> BlockVector:
@@ -400,9 +399,7 @@ def run_round(
             for i in ids:
                 clients[i].vhat = server.vhat
 
-        # the server-Adam protocol (adp-fed) steps locally at eta_local
-        alpha0 = cfg.eta_local if proto.server == "adam" else cfg.hyper.alpha
-        alpha_r = milestone_lr(alpha0, r, cfg.milestones, cfg.lr_factor)
+        alpha_r = milestone_lr(cfg.hyper.alpha, r, cfg.milestones, cfg.lr_factor)
         results = [local_round(clients[i], server.params, clients[i].vhat, cfg, r, alpha_r) for i in ids]
         results.sort(key=lambda res: res.client_id)
 

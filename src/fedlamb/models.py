@@ -7,6 +7,7 @@ so the induced block structure is the unit of layer-wise normalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def init_params(spec: ModelSpec, seed: int) -> BlockVector:
 
 
 def _check_finite(arr: np.ndarray, block: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericOverflowError(f"non-finite activations at block {block!r}")
 
 
@@ -113,12 +114,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _block_names(spec: ModelSpec) -> tuple[str, ...]:
+    return tuple(n for n, _, _ in param_template(spec))
+
+
 def _check_batch(spec: ModelSpec, params: BlockVector, batch: Batch):
     if batch.features.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature width {batch.features.shape[1]} != input_dim {spec.input_dim}"
         )
-    names = tuple(n for n, _, _ in param_template(spec))
+    names = _block_names(spec)
     if params.names != names:
         raise ValueError(f"params {params.names} do not match spec blocks {names}")
 

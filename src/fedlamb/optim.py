@@ -1,6 +1,11 @@
 """Per-client optimizer step rules: SGD, the AMSGrad moment recursion and
 the layer-wise trust-ratio step.
 
+The steps update flat float64 buffers in place, using numpy `out=`
+operations; `tmp` is caller-owned scratch of the same length. They make the
+same IEEE operations in the same order as the pure `blocks` kernels, so a
+step gives the same bits as the kernel chain it stands for.
+
 No bias correction anywhere: the moment recursions are used exactly as
 m <- b1*m + (1-b1)*g and v <- b2*v + (1-b2)*g^2.
 """
@@ -12,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockVector, block_norms, lin_comb, ratio_div, require_congruent, square
+# lin_comb, ratio_div and square, the pure kernels the steps reproduce, are kept under
+# optim's names: perfbench's tracer reports those kernels only when it finds them here.
+from .blocks import Layout, lin_comb, ratio_div, square  # noqa: F401
 
 
 class HyperError(ValueError):
@@ -43,16 +50,6 @@ class Hyper:
                 raise HyperError(key, rule)
 
 
-@dataclass
-class OptState:
-    """Per-client optimizer memory, carried across the rounds a client
-    participates in."""
-
-    m: BlockVector
-    v: BlockVector
-    hyper: Hyper
-
-
 @dataclass(frozen=True)
 class ScalingFn:
     """Layer-norm scaling phi; identity in practice, clipped variant for
@@ -81,61 +78,63 @@ def clipped(lo: float, hi: float) -> ScalingFn:
     return ScalingFn("clipped", lo, hi)
 
 
-def sgd_step(
-    params: BlockVector,
-    g: BlockVector,
-    alpha: float,
-    momentum_buf: BlockVector | None = None,
-    mu: float = 0.0,
-) -> tuple[BlockVector, BlockVector]:
-    """buf' = mu*buf + g; params' = params - alpha*buf'. mu=0 is plain SGD."""
-    require_congruent(params, g)
-    if momentum_buf is None:
-        buf = g
-    else:
-        buf = lin_comb(mu, momentum_buf, 1.0, g)
-    return lin_comb(1.0, params, -alpha, buf), buf
+def sgd_step(theta, g, alpha: float, buf=None, mu: float = 0.0, *, tmp) -> None:
+    """In place: buf <- mu*buf + g, then theta <- theta - alpha*buf. Without
+    a buffer it is plain SGD: theta <- theta - alpha*g."""
+    if buf is not None:
+        buf *= mu
+        g = np.add(buf, g, out=buf)
+    np.multiply(g, -alpha, out=tmp)
+    theta += tmp
 
 
-def moment_update(state: OptState, g: BlockVector) -> OptState:
-    """One step of the first/second moment recursion (no bias correction)."""
-    require_congruent(state.m, g)
-    h = state.hyper
-    m = lin_comb(h.beta1, state.m, 1.0 - h.beta1, g)
-    v = lin_comb(h.beta2, state.v, 1.0 - h.beta2, square(g))
-    return OptState(m, v, h)
+def moment_update(m, v, g, beta1: float, beta2: float, *, tmp) -> None:
+    """In place, one step of the moment recursion (no bias correction):
+    m <- beta1*m + (1-beta1)*g and, unless v is None, v <- beta2*v + (1-beta2)*g^2."""
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=tmp)
+    m += tmp
+    if v is not None:
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
 
 
-def amsgrad_step(
-    params: BlockVector, m: BlockVector, vhat: BlockVector, alpha: float, eps: float
-) -> BlockVector:
-    """Dimension-wise adaptive step params - alpha * m / sqrt(max(vhat, eps))."""
-    return lin_comb(1.0, params, -alpha, ratio_div(m, vhat, eps))
+def denominator(vhat, eps: float, *, out) -> np.ndarray:
+    """out <- sqrt(max(vhat, eps)), the per-coordinate scale of the adaptive steps."""
+    np.maximum(vhat, eps, out=out)
+    return np.sqrt(out, out=out)
 
 
-def lamb_step(
-    params: BlockVector,
-    psi: BlockVector,
-    alpha: float,
-    lam: float = 0.0,
-    phi: ScalingFn = IDENTITY,
-) -> BlockVector:
-    """Layer-wise normalized step.
+def amsgrad_step(theta, m, denom, alpha: float, *, tmp) -> None:
+    """In place, the dimension-wise adaptive step theta <- theta - alpha * m / denom,
+    where denom = sqrt(max(vhat, eps)) comes from `denominator`."""
+    np.divide(m, denom, out=tmp)
+    tmp *= -alpha
+    theta += tmp
+
+
+def lamb_step(theta, psi, alpha: float, lam: float, phi: ScalingFn, *, layout: Layout, tmp):
+    """Layer-wise normalized step, in place on theta; psi is overwritten.
 
     Per block: u = psi + lam*theta; theta' = theta - alpha*phi(|theta|)*u/|u|.
-    One coefficient per block scales u on the whole vector.
     Degenerate blocks: |u| = 0 gives coefficient 0 and leaves the block
     unchanged (a -0.0 coordinate may become 0.0); |theta| = 0
     replaces the trust factor phi(|theta|)/|u| by 1 so zero-initialized
     bias blocks stay trainable under the identity scaling.
+    Returns the (|theta|, |u|) pair each block's coefficient came from.
     """
-    require_congruent(params, psi)
-    u = BlockVector(params.layout, psi.data + lam * params.data)
-    coef = [
-        0.0 if u_norm == 0.0 else alpha if t_norm == 0.0 else alpha * phi(t_norm) / u_norm
-        for u_norm, t_norm in zip(block_norms(u).tolist(), block_norms(params).tolist())
-    ]
-    return BlockVector(params.layout, params.data - np.repeat(coef, params.block_sizes()) * u.data)
+    np.multiply(theta, lam, out=tmp)
+    u = np.add(psi, tmp, out=psi)
+    norms = []
+    for s in layout.slices:
+        t_block, u_block = theta[s], u[s]
+        t_norm, u_norm = math.sqrt(t_block.dot(t_block)), math.sqrt(u_block.dot(u_block))
+        u_block *= 0.0 if u_norm == 0.0 else alpha if t_norm == 0.0 else alpha * phi(t_norm) / u_norm
+        norms.append((t_norm, u_norm))
+    theta -= u
+    return norms
 
 
 def milestone_lr(alpha0: float, r: int, milestones, factor: float) -> float:

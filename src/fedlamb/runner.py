@@ -82,7 +82,6 @@ def build_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
         test=test,
         shards=build_shards(cfg, train, seed),
         hyper=cfg.hyper(),
-        eta_local=cfg.eta_local or None,
         eta_global=cfg.eta_global or None,
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,

@@ -26,7 +26,7 @@ from fedlamb.federation import (
     sample_clients,
 )
 from fedlamb.models import Batch, ModelSpec, backward, forward_loss, param_template
-from fedlamb.optim import Hyper, IDENTITY, amsgrad_step, lamb_step, moment_update, OptState, sgd_step
+from fedlamb.optim import Hyper, IDENTITY, amsgrad_step, denominator, lamb_step, moment_update, sgd_step
 from fedlamb.runner import run_experiment, run_single, rounds_to_target
 
 import oracles
@@ -80,44 +80,49 @@ def test_criterion_1_optimizer_oracle_equivalence():
     t0 = time.monotonic()
     rng = np.random.default_rng(101)
 
-    st = OptState(
-        blocks.zeros_like(random_bv(rng)), blocks.zeros_like(random_bv(rng)),
-        Hyper(alpha=0.1, beta1=0.85, beta2=0.95),
-    )
-    om, ov = oracles.to_lists(st.m), oracles.to_lists(st.v)
+    # the in-place steps the local rules run, on flat buffers
+    layout = random_bv(rng).layout
+    m, v, tmp = np.zeros(layout.dim), np.zeros(layout.dim), np.empty(layout.dim)
+
+    def lists(a):
+        return [[float(x) for x in a[s]] for s in layout.slices]
+
+    om, ov = lists(m), lists(v)
     for _ in range(1000):
         g = random_bv(rng)
-        st = moment_update(st, g)
+        moment_update(m, v, g.data, 0.85, 0.95, tmp=tmp)
         om, ov = oracles.o_moment_update(om, ov, oracles.to_lists(g), 0.85, 0.95)
-        oracles.assert_close(oracles.to_lists(st.m), om, rel=1e-12, label="m")
-        oracles.assert_close(oracles.to_lists(st.v), ov, rel=1e-12, label="v")
+        oracles.assert_close(lists(m), om, rel=1e-12, label="m")
+        oracles.assert_close(lists(v), ov, rel=1e-12, label="v")
 
     for _ in range(1000):
         p, m = random_bv(rng), random_bv(rng)
         vhat = random_bv(rng, nonneg=True)
-        got = amsgrad_step(p, m, vhat, 0.07, 1e-8)
+        theta = p.data.copy()
+        amsgrad_step(theta, m.data, denominator(vhat.data, 1e-8, out=np.empty(layout.dim)), 0.07, tmp=tmp)
         want = oracles.o_amsgrad_step(
             oracles.to_lists(p), oracles.to_lists(m), oracles.to_lists(vhat), 0.07, 1e-8
         )
-        oracles.assert_close(oracles.to_lists(got), want, rel=1e-12, label="amsgrad")
+        oracles.assert_close(lists(theta), want, rel=1e-12, label="amsgrad")
 
     for _ in range(1000):
         p, psi = random_bv(rng), random_bv(rng)
         lam = float(rng.uniform(0, 0.2))
-        got = lamb_step(p, psi, 0.05, lam, IDENTITY)
+        theta = p.data.copy()
+        lamb_step(theta, psi.data.copy(), 0.05, lam, IDENTITY, layout=layout, tmp=tmp)
         want = oracles.o_lamb_step(
             oracles.to_lists(p), oracles.to_lists(psi), 0.05, lam, lambda a: a
         )
-        oracles.assert_close(oracles.to_lists(got), want, rel=1e-12, label="lamb")
+        oracles.assert_close(lists(theta), want, rel=1e-12, label="lamb")
 
     p = random_bv(rng)
-    buf = blocks.zeros_like(p)
-    op, obuf = oracles.to_lists(p), oracles.to_lists(buf)
+    theta, buf = p.data.copy(), np.zeros(layout.dim)
+    op, obuf = oracles.to_lists(p), lists(buf)
     for _ in range(1000):
         g = random_bv(rng)
-        p, buf = sgd_step(p, g, 0.05, buf, 0.9)
+        sgd_step(theta, g.data, 0.05, buf, 0.9, tmp=tmp)
         op, obuf = oracles.o_sgd_step(op, oracles.to_lists(g), 0.05, obuf, 0.9)
-        oracles.assert_close(oracles.to_lists(p), op, rel=1e-12, label="sgd")
+        oracles.assert_close(lists(theta), op, rel=1e-12, label="sgd")
 
     elapsed = time.monotonic() - t0
     assert elapsed < 10
@@ -281,7 +286,7 @@ def test_criterion_7_zero_heterogeneity_consensus():
     test = gen_blobs(3, 4, per_class=5, separation=4.0, noise=1.0, seed=78)
     shards = [ClientShard(i, np.arange(train.n)) for i in range(3)]
     for protocol in PROTOCOLS:
-        kw = dict(eta_local=0.05, eta_global=0.05) if protocol == "adp-fed" else {}
+        kw = dict(eta_global=0.05) if protocol == "adp-fed" else {}
         cfg = RunConfig(
             protocol=protocol, spec=SMALL_SPEC, train=train, test=test,
             shards=shards, hyper=Hyper(alpha=0.05), batch_size=10_000, seed=77, **kw,

@@ -118,6 +118,7 @@ class TestParseConfig:
         ("eps = 0", "eps"),
         ("alpha = 0", "alpha"),
         ("milestones = 5,2", "milestones"),
+        ("seed = -1", "seed"),
     ])
     def test_engine_range_rules_name_the_key(self, tmp_path, line, key):
         path = write(tmp_path, MINIMAL + line + "\n")
@@ -251,6 +252,12 @@ class TestCli:
             outs.append(rows_without_wall_time(out))
         assert outs[0] != outs[1]
 
+    def test_run_negative_seed_override_names_the_key(self, tmp_path):
+        path = write(tmp_path, SMALL)
+        result = CliRunner().invoke(main, ["run", str(path), "--seed", "-1", "--quiet"])
+        assert result.exit_code != 0
+        assert "key 'seed'" in result.output
+
     def test_run_invalid_config_nonzero_exit(self, tmp_path):
         path = write(tmp_path, MINIMAL + "participation = 0\n")
         result = CliRunner().invoke(main, ["run", str(path)])
@@ -284,7 +291,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @given(
     out=TEXT, csv_train=st.text(max_size=12), csv_test=st.text(max_size=12),
     alpha=st.floats(1e-9, 10.0), beta1=st.floats(0.0, 0.99), lam=st.floats(0.0, 1.0),
-    noise=FINITE, eta_global=FINITE, seed=st.integers(-2**63, 2**63),
+    noise=FINITE, eta_global=FINITE, seed=st.integers(0, 2**63),
     hidden=st.lists(st.integers(1, 512), min_size=1, max_size=3).map(tuple),
     milestones=st.lists(st.integers(1, 100), unique=True, max_size=4).map(lambda m: tuple(sorted(m))),
     iid=st.booleans(),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedlamb.data import (
     ClientShard,
@@ -83,15 +84,17 @@ class TestGenBlobs:
 
     def test_separable_blobs_are_learnable(self):
         from fedlamb.models import Batch, ModelSpec, backward, evaluate, init_params
+        from fedlamb.blocks import BlockVector
         from fedlamb.optim import sgd_step
 
         ds = gen_blobs(2, 2, 100, separation=10.0, noise=0.5, seed=1)
         spec = ModelSpec("logistic", input_dim=2)
-        params = init_params(spec, 0)
+        init = init_params(spec, 0)
+        theta, tmp = init.data.copy(), np.empty(init.dim)
+        params = BlockVector(init.layout, theta.view())
         batch = Batch(ds.features, ds.labels)
-        buf = None
         for _ in range(300):
-            params, buf = sgd_step(params, backward(spec, params, batch), 0.5, buf, 0.0)
+            sgd_step(theta, backward(spec, params, batch).data, 0.5, tmp=tmp)
         acc, _ = evaluate(spec, params, ds)
         assert acc == 1.0
 
@@ -175,6 +178,30 @@ class TestPartitionLabelShards:
         b = partition_label_shards(ds, 5, 2, seed=9)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.indices, y.indices)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.integers(1, 5), st.integers(-1, 12), st.integers(0, 4), st.integers(0, 3))
+def test_partitions_cover_disjointly_or_raise_partition_error(data, k, n, c, seed):
+    """Both partitions return n disjoint, non-empty shards covering every
+    sample when feasible, and otherwise raise PartitionError and nothing else."""
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=30)))
+    ds = Dataset(np.zeros((labels.size, 2)), labels, k)
+    counts = np.bincount(labels, minlength=k)
+    label_sure = c >= 1 and n * c >= k and counts.min() >= -(-n * c // k)
+    label_never = c < 1 or n * c < k or counts.min() < n * c // k
+    cases = [(partition_iid, (n,), 1 <= n <= ds.n, not 1 <= n <= ds.n),
+             (partition_label_shards, (n, c), label_sure, label_never)]
+    for partition, args, feasible, infeasible in cases:
+        try:
+            shards = partition(ds, *args, seed=seed)
+        except PartitionError:
+            assert not feasible, partition.__name__
+            continue
+        assert not infeasible, partition.__name__
+        assert [s.client_id for s in shards] == list(range(n))
+        assert all(len(s) > 0 for s in shards)
+        assert sorted(np.concatenate([s.indices for s in shards]).tolist()) == list(range(ds.n))
 
 
 class TestMinibatchStream:

@@ -67,7 +67,7 @@ def make_cfg(protocol, n=4, seed=0, rounds_data_seed=0, **kw):
         seed=seed,
     )
     if protocol == "adp-fed":
-        defaults.update(eta_local=0.05, eta_global=0.05)
+        defaults.update(eta_global=0.05)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -217,7 +217,7 @@ class TestAdpFedServer:
                     for batch in minibatch_stream(cfg.train, shard, cfg.batch_size, epoch, cfg.seed):
                         cur = BlockVector.of(zip(server.params.names, (np.array(b) for b in local)))
                         g = backward(cfg.spec, cur, batch)
-                        local = [p - cfg.eta_local * gb for p, gb in zip(local, g.blocks)]
+                        local = [p - cfg.hyper.alpha * gb for p, gb in zip(local, g.blocks)]
                 deltas.append([p - t for p, t in zip(local, theta)])
             dbar = [np.mean([d[i] for d in deltas], axis=0) for i in range(len(theta))]
             b1, b2 = cfg.hyper.beta1, cfg.hyper.beta2
@@ -341,7 +341,7 @@ class TestRunRound:
         test = gen_blobs(3, 4, per_class=5, separation=4.0, noise=1.0, seed=1)
         shards = [ClientShard(i, np.arange(train.n)) for i in range(3)]
         for proto in PROTOCOLS:
-            kw = dict(eta_local=0.05, eta_global=0.05) if proto == "adp-fed" else {}
+            kw = dict(eta_global=0.05) if proto == "adp-fed" else {}
             cfg = RunConfig(
                 protocol=proto, spec=SPEC, train=train, test=test, shards=shards,
                 hyper=Hyper(alpha=0.05), batch_size=10_000, seed=0, **kw,
@@ -537,6 +537,31 @@ class TestRunRound:
                 assert (res.full_grad is not None) == (comm.uplink_gradient > 0), proto
             assert [held(c) for c in clients] == given, proto
             assert all((c.momentum_buf is not None) == (proto == "fed-sgd") for c in clients), proto
+
+    @pytest.mark.parametrize("order", (1, -1))
+    @pytest.mark.parametrize("proto", list(TABLE))
+    def test_in_place_local_rounds_leave_shared_vectors_unchanged(self, proto, order, monkeypatch):
+        # local rounds write only into buffers they own: after each round the
+        # previous global model, the broadcast v-hat, the shared init zeros,
+        # unsampled clients' buffers and earlier rounds' uploads are bit-unchanged
+        ascending = federation.sample_clients
+        monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::order])
+        local, uploads = federation.local_round, []
+        monkeypatch.setattr(
+            federation, "local_round", lambda *args: uploads.append(local(*args)) or uploads[-1]
+        )
+        cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, hyper=Hyper(alpha=0.05, lam=0.01))
+        server, clients = init_run(cfg)
+        watched = [b for c in clients for b in (c.m, c.momentum_buf, c.vhat) if b is not None]
+        for r in range(1, 5):
+            sampled = set(ascending(cfg.n, cfg.participation, r, cfg.seed).tolist())
+            watched += [x for x in (server.params, server.vhat) if x is not None]
+            watched += [res.params for res in uploads]
+            watched += [b for c in clients if c.client_id not in sampled
+                        for b in (c.m, c.momentum_buf, c.vhat) if b is not None]
+            bits = [(x, x.data.tobytes()) for x in watched]
+            run_round(server, clients, cfg)
+            assert all(x.data.tobytes() == b for x, b in bits), (proto, r)
 
     def test_grad_evals_double_for_mime(self):
         shared = dict(n=2, batch_size=8, seed=6)

@@ -1,15 +1,20 @@
 """Property tests: every flat kernel equals a per-block numpy reference bit for
-bit, keeps its input's layout object and leaves its inputs untouched.
+bit, keeps its input's layout object and leaves its inputs untouched; every
+in-place local step rule equals the chain of those kernels bit for bit.
 
 The references are the per-block loops the kernels replaced: one numpy
 expression per block, the same arithmetic in the same order.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedlamb.blocks import BlockVector, block_norms, ew_max, lin_comb, mean, ratio_div, square
-from fedlamb.optim import IDENTITY, clipped, lamb_step
+from fedlamb.federation import _LocalRound
+from fedlamb.optim import IDENTITY, Hyper, clipped, lamb_step
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -108,16 +113,14 @@ def reference_lamb(theta_blocks, psi_blocks, alpha, lam, phi):
     return out
 
 
+PHIS = st.sampled_from([IDENTITY, clipped(0.5, 2.0), clipped(1e-3, 1e-2), clipped(1e3, 1e4)])
+
+
 @SETTINGS
-@given(
-    vectors(2),
-    st.data(),
-    st.floats(1e-4, 1.0),
-    st.sampled_from([0.0, 0.01, 0.1]),
-    st.sampled_from([IDENTITY, clipped(0.5, 2.0), clipped(1e-3, 1e-2), clipped(1e3, 1e4)]),
-)
+@given(vectors(2), st.data(), st.floats(1e-4, 1.0), st.sampled_from([0.0, 0.01, 0.1]), PHIS)
 def test_lamb_step(xs, data, alpha, lam, phi):
-    """Blocks with |theta| = 0 and with |u| = 0 included, phi clipped or not."""
+    """In place on copies: blocks with |theta| = 0 and with |u| = 0 included,
+    phi clipped or not; returns the norms the coefficients came from."""
     theta, psi = xs
     n = len(theta.blocks)
     zero_theta = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -127,4 +130,70 @@ def test_lamb_step(xs, data, alpha, lam, phi):
     theta = BlockVector(theta.layout, np.concatenate(t_blocks))
     psi = BlockVector(theta.layout, np.concatenate(p_blocks))
     want = reference_lamb(theta.blocks, psi.blocks, alpha, lam, phi)
-    check(lambda: lamb_step(theta, psi, alpha, lam, phi), [theta, psi], want)
+    got = theta.data.copy()
+    norms = lamb_step(got, psi.data.copy(), alpha, lam, phi, layout=theta.layout, tmp=np.empty(theta.dim))
+    assert equal_blocks(BlockVector(theta.layout, got).blocks, want)
+    assert norms == [(np.linalg.norm(t), np.linalg.norm(p + lam * t))
+                     for t, p in zip(theta.blocks, psi.blocks)]
+
+
+def kernel_chain(rule, s, g, cfg, lr):
+    """One step of `rule` as the pure kernels compute it, on the block vectors in `s`."""
+    h = cfg.hyper
+    if rule in ("sgd", "momentum_sgd"):
+        if rule == "momentum_sgd":
+            s["buf"] = lin_comb(cfg.momentum, s["buf"], 1.0, g)
+        s["theta"] = lin_comb(1.0, s["theta"], -lr, s["buf"] if rule == "momentum_sgd" else g)
+        return
+    s["m"] = lin_comb(h.beta1, s["m"], 1.0 - h.beta1, g)
+    if s["v"] is not None:
+        s["v"] = lin_comb(h.beta2, s["v"], 1.0 - h.beta2, square(g))
+    if rule == "amsgrad":
+        if s["v"] is not None:
+            s["vhat"] = ew_max(s["vhat"], s["v"])
+        s["theta"] = lin_comb(1.0, s["theta"], -lr, ratio_div(s["m"], s["vhat"], h.eps))
+    else:
+        psi = ratio_div(s["m"], s["vhat"], h.eps)
+        new = reference_lamb(s["theta"].blocks, psi.blocks, lr, h.lam, cfg.phi)
+        s["theta"] = BlockVector(g.layout, np.concatenate(new))
+
+
+@pytest.mark.parametrize("rule,track_v", [
+    ("sgd", False), ("momentum_sgd", False), ("amsgrad", False), ("amsgrad", True),
+    ("lamb", False), ("lamb", True),
+])
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(3, 8).flatmap(vectors), st.data(), st.floats(1e-4, 1.0),
+       st.sampled_from([0.0, 0.01, 0.1]), PHIS, st.sampled_from([1e-8, 1e-4]))
+def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, eps):
+    """Over several steps, a local rule on its in-place buffers gives the same
+    bits as the kernel chain, and the broadcast vectors it started from stay
+    as they were. Zero blocks in theta, m and the gradients make |theta| = 0
+    and |u| = 0 blocks, and v-hat coordinates below the eps floor."""
+    n = len(xs[0].blocks)
+    zero = [data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in xs]
+
+    def masked(x, mask):
+        return BlockVector(x.layout, np.concatenate(
+            [np.zeros_like(b) if z else b for b, z in zip(x.blocks, mask)]))
+
+    theta, m, *grads = (masked(x, z) for x, z in zip(xs, zero))
+    vhat = BlockVector(theta.layout, np.abs(grads[0].data))  # zero blocks sit below eps
+    cfg = SimpleNamespace(hyper=Hyper(alpha=lr, lam=lam, eps=eps), phi=phi,
+                          momentum=0.9, track_displacement=False)
+    v = vhat if track_v else None
+    s = _LocalRound(cfg, lr, theta, m, v, vhat, m, [])
+    want = dict(theta=theta, m=m, v=v, vhat=vhat, buf=m)
+    inputs = [x.data.tobytes() for x in (theta, m, vhat)]
+    rule_fn = getattr(_LocalRound, rule)
+    for g in grads:
+        rule_fn(s, g.data)
+        kernel_chain(rule, want, g, cfg, lr)
+        assert np.array_equal(s.theta, want["theta"].data)
+    if rule in ("amsgrad", "lamb"):
+        assert np.array_equal(s.m, want["m"].data)
+        assert np.array_equal(s.vhat, want["vhat"].data)
+        assert track_v == (s.v is not None) and (not track_v or np.array_equal(s.v, want["v"].data))
+    if rule == "momentum_sgd":
+        assert np.array_equal(s.buf, want["buf"].data)
+    assert [x.data.tobytes() for x in (theta, m, vhat)] == inputs
