@@ -142,11 +142,12 @@ def gen_blobs(
     return Dataset(feats, labels, k, source=f"blobs(k={k},d={d},seed={seed})")
 
 
-def partition_iid(dataset: Dataset, n: int, seed: int) -> list[ClientShard]:
-    """Seed-determined permutation split into n near-equal shards."""
+def partition_iid(dataset: Dataset, n: int, seed: int, *stream: int) -> list[ClientShard]:
+    """Seed-determined permutation split into n near-equal shards; extra
+    `stream` ints (such as a round index) key a separate permutation."""
     if not 1 <= n <= dataset.n:
         raise PartitionError(f"cannot split {dataset.n} samples over {n} clients")
-    perm = np.random.default_rng([_IID_TAG, seed]).permutation(dataset.n)
+    perm = np.random.default_rng([_IID_TAG, seed, *stream]).permutation(dataset.n)
     base, extra = divmod(dataset.n, n)
     shards, start = [], 0
     for i in range(n):
@@ -157,10 +158,11 @@ def partition_iid(dataset: Dataset, n: int, seed: int) -> list[ClientShard]:
 
 
 def partition_label_shards(
-    dataset: Dataset, n: int, classes_per_client: int, seed: int
+    dataset: Dataset, n: int, classes_per_client: int, seed: int, *stream: int
 ) -> list[ClientShard]:
     """Class-sharded non-IID split: each client gets `classes_per_client`
-    contiguous chunks drawn from that many distinct classes.
+    contiguous chunks drawn from that many distinct classes; extra `stream`
+    ints key a separate draw, as in `partition_iid`.
 
     Each class is cut into equal chunks (the last absorbs the remainder);
     chunk groups are dealt to a seed-permuted client order with stride n,
@@ -172,7 +174,7 @@ def partition_label_shards(
         raise PartitionError("classes_per_client must be >= 1")
     if n * c < k:
         raise PartitionError(f"{n} clients x {c} chunks cannot cover {k} classes")
-    rng = np.random.default_rng([_SHARD_TAG, seed])
+    rng = np.random.default_rng([_SHARD_TAG, seed, *stream])
     class_order = rng.permutation(k)
     client_order = rng.permutation(n)
 

@@ -18,6 +18,9 @@ KINDS = ("linear-regression", "logistic", "mlp")
 ACTIVATIONS = ("relu", "tanh")
 
 _INIT_TAG = 0x11D1  # keys the parameter-init RNG stream
+# Rows per step of every sample-axis sum: OpenBLAS splits longer sums across
+# threads, so 512 rows already give thread-count-dependent bytes.
+_CHUNK = 256
 
 
 class NumericOverflowError(FloatingPointError):
@@ -176,63 +179,77 @@ def _forward(spec: ModelSpec, params: BlockVector, batch: Batch):
     return z, z, None
 
 
-def _mean_loss(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> float:
-    """Mean loss from `_forward`'s `out`: the one loss expression per kind."""
+def _loss_terms(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample loss from `_forward`'s `out`: the one loss expression per kind."""
     if spec.kind == "linear-regression":
-        return float(np.mean(out * out))
+        return out * out
     if spec.kind == "logistic":
-        y = labels.astype(np.float64)
-        return float(np.mean(np.logaddexp(0.0, out) - y * out))
-    return float(-np.mean(out[np.arange(len(labels)), labels.astype(np.intp)]))
+        return np.logaddexp(0.0, out) - labels.astype(np.float64) * out
+    return -out[np.arange(len(labels)), labels.astype(np.intp)]
 
 
-def _gradient(spec: ModelSpec, params: BlockVector, batch: Batch, out, saved) -> BlockVector:
-    """Gradient of the mean batch loss from `_forward`'s `out` and `saved`."""
+def _gradient(spec: ModelSpec, params: BlockVector, batch: Batch, out, saved, n: int, g: np.ndarray):
+    """Writes into `g` the batch's share of the gradient of a mean loss over
+    `n` samples, from `_forward`'s `out` and `saved`."""
     X = batch.features
-    n = len(batch)
+    views = [g[s] for s in params.layout.slices]
     if spec.kind == "linear-regression":
-        return BlockVector(params.layout, np.append((2.0 / n) * (X.T @ out), 2.0 * np.mean(out)))
-    if spec.kind == "logistic":
+        np.multiply(2.0 / n, X.T @ out, out=views[0])
+        views[1][0] = 2.0 * (out.sum() / n)
+    elif spec.kind == "logistic":
         err = _sigmoid(out) - batch.labels.astype(np.float64)
-        return BlockVector(params.layout, np.append((X.T @ err) / n, np.mean(err)))
+        np.divide(X.T @ err, n, out=views[0])
+        views[1][0] = err.sum() / n
+    else:
+        acts, Ws = saved
+        delta = np.exp(out)
+        delta[np.arange(len(batch)), batch.labels.astype(np.intp)] -= 1.0
+        delta /= n
+        for i in range(len(Ws) - 1, -1, -1):
+            np.matmul(acts[i].T, delta, out=views[2 * i].reshape(Ws[i].shape))
+            delta.sum(axis=0, out=views[2 * i + 1])
+            if i > 0:
+                delta = delta @ Ws[i].T
+                if spec.activation == "relu":
+                    np.multiply(delta, acts[i] > 0, out=delta)
+                else:
+                    delta *= 1.0 - acts[i] * acts[i]
 
-    acts, Ws = saved
-    idx = batch.labels.astype(np.intp)
-    delta = np.exp(out)
-    delta[np.arange(n), idx] -= 1.0
-    delta /= n
-    flat = np.empty(params.dim)
-    views = [flat[s] for s in params.layout.slices]
-    for i in range(len(Ws) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=views[2 * i].reshape(Ws[i].shape))
-        delta.sum(axis=0, out=views[2 * i + 1])
-        if i > 0:
-            delta = delta @ Ws[i].T
-            if spec.activation == "relu":
-                np.multiply(delta, acts[i] > 0, out=delta)
-            else:
-                delta *= 1.0 - acts[i] * acts[i]
-    return BlockVector(params.layout, flat)
+
+def _loss_and_gradient(spec: ModelSpec, params: BlockVector, batch: Batch, with_loss: bool):
+    """(mean loss or None, gradient of the mean loss) over consecutive `_CHUNK`-row
+    chunks of `batch`, in order: each chunk divides by the whole batch's size,
+    the first writes the gradient and later ones add to it, and the loss is one
+    mean over every sample's term. A batch of at most `_CHUNK` rows is one chunk."""
+    n = len(batch)
+    flat, tmp = np.empty(params.dim), np.empty(params.dim) if n > _CHUNK else None
+    terms = np.empty(n) if with_loss else None
+    for lo in range(0, n, _CHUNK):
+        chunk = batch if n <= _CHUNK else Batch(batch.features[lo : lo + _CHUNK], batch.labels[lo : lo + _CHUNK])
+        out, _, saved = _forward(spec, params, chunk)
+        if with_loss:
+            terms[lo : lo + len(chunk)] = _loss_terms(spec, out, chunk.labels)
+        _gradient(spec, params, chunk, out, saved, n, tmp if lo else flat)
+        if lo:
+            flat += tmp
+    return float(np.mean(terms)) if with_loss else None, BlockVector(params.layout, flat)
 
 
 def forward_loss(spec: ModelSpec, params: BlockVector, batch: Batch) -> float:
     """Mean loss over the batch; cross-entropy via stable log-sum-exp."""
-    return _mean_loss(spec, _forward(spec, params, batch)[0], batch.labels)
+    return float(np.mean(_loss_terms(spec, _forward(spec, params, batch)[0], batch.labels)))
 
 
 def backward(spec: ModelSpec, params: BlockVector, batch: Batch) -> BlockVector:
     """Gradient of the mean batch loss with respect to every block."""
-    out, _, saved = _forward(spec, params, batch)
-    return _gradient(spec, params, batch, out, saved)
+    return _loss_and_gradient(spec, params, batch, with_loss=False)[1]
 
 
 def full_gradient(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, BlockVector]:
-    """(mean loss, exact mean gradient) over a whole dataset, one pass each way."""
+    """(mean loss, exact mean gradient) over a whole dataset, one chunked pass each way."""
     if dataset.n < 1:
         raise ValueError("full_gradient over empty dataset")
-    batch = Batch(dataset.features, dataset.labels)
-    out, _, saved = _forward(spec, params, batch)
-    return _mean_loss(spec, out, batch.labels), _gradient(spec, params, batch, out, saved)
+    return _loss_and_gradient(spec, params, Batch(dataset.features, dataset.labels), with_loss=True)
 
 
 def evaluate(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, float]:
@@ -245,7 +262,7 @@ def evaluate(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, floa
         raise ValueError("evaluate over empty dataset")
     batch = Batch(dataset.features, dataset.labels)
     out, scores, _ = _forward(spec, params, batch)
-    loss = _mean_loss(spec, out, batch.labels)
+    loss = float(np.mean(_loss_terms(spec, out, batch.labels)))
     if spec.kind == "linear-regression":
         return 0.0, loss
     pred = (scores > 0) if spec.kind == "logistic" else np.argmax(scores, axis=1)

@@ -67,10 +67,10 @@ def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def build_shards(cfg: ExperimentConfig, train: Dataset, seed: int):
+def build_shards(cfg: ExperimentConfig, train: Dataset, seed: int, *stream: int):
     if cfg.iid:
-        return partition_iid(train, cfg.n_clients, seed)
-    return partition_label_shards(train, cfg.n_clients, cfg.classes_per_client, seed)
+        return partition_iid(train, cfg.n_clients, seed, *stream)
+    return partition_label_shards(train, cfg.n_clients, cfg.classes_per_client, seed, *stream)
 
 
 def build_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
@@ -102,7 +102,8 @@ def run_single(cfg: ExperimentConfig, seed: int, log=None) -> list[RoundMetrics]
     history = []
     for _ in range(cfg.rounds):
         if cfg.reshard_each_round:
-            run_cfg.shards = build_shards(cfg, run_cfg.train, seed + server.round_index + 1)
+            # keyed by (seed, round), so no two repeats' seeds share a round's shards
+            run_cfg.shards = build_shards(cfg, run_cfg.train, seed, server.round_index + 1)
             for client, shard in zip(clients, run_cfg.shards):
                 client.shard = shard
         metrics, _ = run_round(server, clients, run_cfg)

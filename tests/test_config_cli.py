@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from fedlamb import runner
 from fedlamb.cli import main
 from fedlamb.config import ConfigError, ExperimentConfig, parse_config, write_config
 from fedlamb.federation import RoundMetrics
@@ -167,6 +168,19 @@ class TestRunExperiment:
         cfg = parse_config(write(tmp_path, SMALL + "reshard_each_round = true\n"))
         history = run_single(cfg, cfg.seed)
         assert len(history) == 3
+
+    def test_reshard_consecutive_seeds_share_no_shards(self, tmp_path, monkeypatch):
+        # repeats run on seeds seed, seed + 1, ...; each must redraw its own shards
+        cfg = parse_config(write(tmp_path, SMALL + "reshard_each_round = true\nrounds = 4\n"))
+        build, drawn = runner.build_shards, []
+        monkeypatch.setattr(runner, "build_shards", lambda *args: drawn.append(build(*args)) or drawn[-1])
+        per_seed = []
+        for seed in (5, 6):
+            drawn.clear()
+            run_single(cfg, seed)
+            per_seed.append({tuple(tuple(s.indices) for s in shards) for shards in drawn})
+        assert len(per_seed[0]) == len(per_seed[1]) == 1 + 4  # set-up, then every round
+        assert not per_seed[0] & per_seed[1]
 
 
 class TestGridSweep:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fedlamb import models
 from fedlamb.blocks import BlockVector, zeros_like
 from fedlamb.data import Dataset
 from fedlamb.models import (
@@ -238,6 +239,41 @@ class TestEvaluate:
                     best, best_v = c, logits[i][c]
             correct += best == ds.labels[i]
         assert acc == correct / 100
+
+
+class TestChunkedPass:
+    """full_gradient and backward reduce over consecutive 256-row chunks."""
+
+    @pytest.mark.parametrize("spec", [LINREG, LOGISTIC, MLP, MLP_TANH],
+                             ids=["linreg", "logistic", "mlp-relu", "mlp-tanh"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_matches_per_sample_mean(self, spec, n):
+        rng = np.random.default_rng(21)
+        p = random_params(spec, rng)
+        batch = random_batch(spec, rng, size=n)
+        loss, grad = full_gradient(spec, p, Dataset(batch.features, batch.labels, spec.classes))
+        rows = [Batch(batch.features[i : i + 1], batch.labels[i : i + 1]) for i in range(n)]
+        assert loss == pytest.approx(np.mean([forward_loss(spec, p, b) for b in rows]), rel=1e-12)
+        want = np.mean([backward(spec, p, b).data for b in rows], axis=0)
+        np.testing.assert_allclose(grad.data, want, rtol=1e-12, atol=1e-14)
+        if n <= 256:  # one chunk: the unchunked pass's bits
+            assert loss == forward_loss(spec, p, batch)
+            assert np.array_equal(grad.data, backward(spec, p, batch).data)
+
+    def test_chunks_run_in_order(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        p = random_params(MLP, rng)
+        batch = random_batch(MLP, rng, size=600)
+        seen, forward = [], models._mlp_forward
+
+        def spy(spec, params, X):
+            seen.append(X)
+            return forward(spec, params, X)
+
+        monkeypatch.setattr(models, "_mlp_forward", spy)
+        full_gradient(MLP, p, Dataset(batch.features, batch.labels, MLP.classes))
+        assert [len(X) for X in seen] == [256, 256, 88]
+        assert np.array_equal(np.vstack(seen), batch.features)
 
 
 def reference_scores(spec, params, X):
