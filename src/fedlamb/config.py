@@ -76,14 +76,22 @@ class ExperimentConfig:
             raise ConfigError("key 'csv_train'/'csv_test': required when data = csv")
         if self.input_dim < 1:
             raise ConfigError("key 'input_dim': must be >= 1")
-        for key in ("n_clients", "rounds", "local_epochs", "batch_size",
-                    "classes", "repeat", "lazy_period"):
+        for key in ("n_clients", "rounds", "local_epochs", "batch_size", "classes", "repeat",
+                    "lazy_period", "classes_per_client", "train_per_class", "test_per_class"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key '{key}': must be >= 1")
+        if self.model == "mlp" and not (self.hidden and min(self.hidden) >= 1):
+            raise ConfigError("key 'hidden': mlp needs one or more widths, each >= 1")
+        if self.data == "blobs" and self.input_dim < self.classes:
+            raise ConfigError("key 'input_dim': blobs need input_dim >= classes")
         if not 0 < self.participation <= 1:
             raise ConfigError("key 'participation': must be in (0, 1]")
         if self.seed < 0:
             raise ConfigError("key 'seed': must be >= 0")
+        if not self.lr_factor > 0:
+            raise ConfigError("key 'lr_factor': must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError("key 'momentum': must be in [0, 1)")
         if self.protocol == "adp-fed" and not (self.eta_local > 0 and self.eta_global > 0):
             raise ConfigError("key 'eta_local'/'eta_global': required for adp-fed")
         try:

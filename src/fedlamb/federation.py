@@ -12,12 +12,12 @@ rounds ran in.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocks
-from .blocks import BlockVector, block_norms, lin_comb, ew_max, ratio_div, square
+from .blocks import BlockVector, lin_comb, ew_max, ratio_div, square
 from .data import ClientShard, Dataset, minibatch_stream
 # ratio_div and forward_loss are not called here, but perfbench's tracer reports
 # blocks.ratio_div and the metric pass only when it finds them under federation's names.
@@ -90,8 +90,6 @@ class RunConfig:
     lr_factor: float = 0.1
     phi: ScalingFn = IDENTITY
     momentum: float = 0.0
-    lazy_gating: bool = True          # False = ungated reference path
-    track_displacement: bool = False
 
     def __post_init__(self):
         if self.protocol not in TABLE:
@@ -188,7 +186,6 @@ class LocalResult:
     v: BlockVector | None = None
     full_grad: BlockVector | None = None
     grad_evals: int = 0
-    displacements: list = field(default_factory=list)
 
 
 def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
@@ -247,7 +244,7 @@ def local_round(
         result.grad_evals += shard_data.n
 
     v0 = vhat if "moment" in proto.uplink else None  # line "v0 = v-hat"
-    s = _LocalRound(cfg, alpha_r, theta_bar, client.m, v0, vhat, client.momentum_buf, result.displacements)
+    s = _LocalRound(cfg, alpha_r, theta_bar, client.m, v0, vhat, client.momentum_buf)
     rule = getattr(_LocalRound, proto.local)
     step = 0
     for e in range(T):
@@ -275,8 +272,8 @@ class _LocalRound:
     them into block vectors at round end. `view` is the read-only block vector
     over theta that backward reads within a step."""
 
-    def __init__(self, cfg, lr, theta_bar, m, v, vhat, buf, displacements):
-        self.cfg, self.lr, self.displacements, self.layout = cfg, lr, displacements, theta_bar.layout
+    def __init__(self, cfg, lr, theta_bar, m, v, vhat, buf):
+        self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
         # the model, carried first moment, local second moment if uploaded, momentum buffer
         self.theta, self.m, self.v, self.buf = (None if x is None else x.data.copy() for x in (theta_bar, m, v, buf))
         self.view = BlockVector(self.layout, self.theta.view())
@@ -303,18 +300,11 @@ class _LocalRound:
         amsgrad_step(self.theta, self.m, self.denom, self.lr, tmp=self.tmp)
 
     def lamb(self, g: np.ndarray) -> None:
-        """Layer-wise trust-ratio step against v-hat, frozen for the round. With
-        track_displacement, records per block (actual displacement,
-        alpha*phi(|theta|), fallback flag)."""
-        h, phi = self.cfg.hyper, self.cfg.phi
+        """Layer-wise trust-ratio step against v-hat, frozen for the round."""
+        h = self.cfg.hyper
         moment_update(self.m, self.v, g, h.beta1, h.beta2, tmp=self.tmp)
         np.divide(self.m, self.denom, out=self.psi)
-        before = self.theta.copy() if self.cfg.track_displacement else None
-        norms = lamb_step(self.theta, self.psi, self.lr, h.lam, phi, layout=self.layout, tmp=self.tmp)
-        if before is not None:
-            disp = block_norms(BlockVector(self.layout, self.theta - before))
-            for d, (t_norm, u_norm) in zip(disp.tolist(), norms):
-                self.displacements.append((d, self.lr * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
+        lamb_step(self.theta, self.psi, self.lr, h.lam, self.cfg.phi, layout=self.layout, tmp=self.tmp)
 
 
 def aggregate_params(received: list[BlockVector]) -> BlockVector:
@@ -383,8 +373,6 @@ def run_round(
     server: ServerState,
     clients: list[ClientState],
     cfg: RunConfig,
-    client_params_out: list | None = None,
-    displacement_out: list | None = None,
 ) -> tuple[RoundMetrics, CommEntry]:
     """One full round: sample, broadcast, local training, aggregate, account.
     Local results are reduced in ascending client-id order."""
@@ -393,7 +381,7 @@ def run_round(
     proto = TABLE[cfg.protocol]
     try:
         ids = sample_clients(cfg.n, cfg.participation, r, cfg.seed)
-        gate = (not cfg.lazy_gating) or lazy_sync_gate(r, cfg.lazy_period)
+        gate = lazy_sync_gate(r, cfg.lazy_period)
 
         if proto.vhat and gate:
             for i in ids:
@@ -402,13 +390,6 @@ def run_round(
         alpha_r = milestone_lr(cfg.hyper.alpha, r, cfg.milestones, cfg.lr_factor)
         results = [local_round(clients[i], server.params, clients[i].vhat, cfg, r, alpha_r) for i in ids]
         results.sort(key=lambda res: res.client_id)
-
-        if client_params_out is not None:
-            client_params_out.append([res.params for res in results])
-        if displacement_out is not None:
-            for res in results:
-                displacement_out.extend(res.displacements)
-
         getattr(server, proto.server)(results, cfg, gate)
         server.round_index = r
     except Exception as exc:

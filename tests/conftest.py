@@ -1,0 +1,43 @@
+"""Spies that observe the round engine. The engine's rules look up
+`local_round` and `lamb_step` through `federation`'s namespace when they run,
+so wrapping those names sees every call without any option in the engine."""
+
+import pytest
+
+from fedlamb import federation
+from fedlamb.blocks import BlockVector, block_norms
+
+
+@pytest.fixture
+def lamb_displacements(monkeypatch):
+    """Wraps federation.lamb_step. The list it returns gets, per block of
+    every layer-wise step, (displacement norm, lr*phi(|theta|), fallback),
+    where fallback marks a block with |u| = 0 or |theta| = 0, which the
+    displacement law does not cover."""
+    lamb_step, recorded = federation.lamb_step, []
+
+    def spy(theta, psi, alpha, lam, phi, *, layout, tmp):
+        before = theta.copy()
+        norms = lamb_step(theta, psi, alpha, lam, phi, layout=layout, tmp=tmp)
+        disp = block_norms(BlockVector(layout, theta - before))
+        for d, (t_norm, u_norm) in zip(disp.tolist(), norms):
+            recorded.append((d, alpha * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
+        return norms
+
+    monkeypatch.setattr(federation, "lamb_step", spy)
+    return recorded
+
+
+@pytest.fixture
+def uploaded_params(monkeypatch):
+    """Wraps federation.local_round. The list it returns gets each local
+    round's uploaded model, in the order the rounds ran."""
+    local_round, uploads = federation.local_round, []
+
+    def spy(*args):
+        res = local_round(*args)
+        uploads.append(res.params)
+        return res
+
+    monkeypatch.setattr(federation, "local_round", spy)
+    return uploads

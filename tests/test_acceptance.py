@@ -160,17 +160,14 @@ def test_criterion_2_gradient_finite_differences():
           f"2 models x 10 draws x 50 coords, rel tol 1e-5 ({elapsed:.1f}s)")
 
 
-def test_criterion_3_layer_displacement_law():
+def test_criterion_3_layer_displacement_law(lamb_displacements):
     t0 = time.monotonic()
-    cfg = small_run_config(
-        "fed-lamb", n=4, track_displacement=True, milestones=(25,), lr_factor=0.1
-    )
+    cfg = small_run_config("fed-lamb", n=4, milestones=(25,), lr_factor=0.1)
     server, clients = init_run(cfg)
-    recorded = []
     for _ in range(50):
-        run_round(server, clients, cfg, displacement_out=recorded)
+        run_round(server, clients, cfg)
     checked = 0
-    for actual, expected, fallback in recorded:
+    for actual, expected, fallback in lamb_displacements:
         if not fallback:
             assert abs(actual - expected) <= 1e-9
             checked += 1
@@ -234,13 +231,16 @@ def test_criterion_5_vhat_monotonicity():
           f"100 rounds for all four adaptive protocols ({elapsed:.1f}s)")
 
 
-def test_criterion_6_lazy_sync_and_ledger():
+def test_criterion_6_lazy_sync_and_ledger(monkeypatch):
     t0 = time.monotonic()
 
-    # gated Z=1 vs the ungated reference path: bit-identical trajectories
+    # gated Z=1 vs the ungated reference path, whose gate is always open:
+    # bit-identical trajectories
     trajectories = []
-    for gating in (True, False):
-        cfg = small_run_config("fed-lamb", n=3, lazy_period=1, lazy_gating=gating)
+    for gated in (True, False):
+        if not gated:
+            monkeypatch.setattr(federation, "lazy_sync_gate", lambda r, Z: True)
+        cfg = small_run_config("fed-lamb", n=3, lazy_period=1)
         server, clients = init_run(cfg)
         rows = []
         for _ in range(100):
@@ -253,6 +253,7 @@ def test_criterion_6_lazy_sync_and_ledger():
         np.array_equal(a, b)
         for a, b in zip(trajectories[0][1].blocks, trajectories[1][1].blocks)
     )
+    monkeypatch.undo()
 
     # ledger entries match closed-form counts; Z=5 sends the capped moment
     # downstream exactly one fifth as often as Z=1
@@ -280,7 +281,7 @@ def test_criterion_6_lazy_sync_and_ledger():
           f"closed-form exact; Z=5 moment downlink is 1/5 of Z=1 ({elapsed:.1f}s)")
 
 
-def test_criterion_7_zero_heterogeneity_consensus():
+def test_criterion_7_zero_heterogeneity_consensus(uploaded_params):
     t0 = time.monotonic()
     train = gen_blobs(3, 4, per_class=10, separation=4.0, noise=1.0, seed=77)
     test = gen_blobs(3, 4, per_class=5, separation=4.0, noise=1.0, seed=78)
@@ -293,10 +294,10 @@ def test_criterion_7_zero_heterogeneity_consensus():
         )
         server, clients = init_run(cfg)
         for _ in range(3):
-            out = []
-            run_round(server, clients, cfg, client_params_out=out)
-            mean_params = aggregate_params(out[-1])
-            for theta_i in out[-1]:
+            uploaded_params.clear()
+            run_round(server, clients, cfg)
+            mean_params = aggregate_params(uploaded_params)
+            for theta_i in uploaded_params:
                 gap = math.sqrt(norm_sq(lin_comb(1.0, mean_params, -1.0, theta_i)))
                 assert gap <= 1e-12, protocol
     elapsed = time.monotonic() - t0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fedlamb import runner
 from fedlamb.cli import main
 from fedlamb.config import ConfigError, ExperimentConfig, parse_config, write_config
-from fedlamb.federation import RoundMetrics
+from fedlamb.federation import RoundMetrics, RunConfig
 from fedlamb.runner import (
     DEFAULT_GRIDS,
     METRIC_COLUMNS,
@@ -120,6 +121,18 @@ class TestParseConfig:
         ("alpha = 0", "alpha"),
         ("milestones = 5,2", "milestones"),
         ("seed = -1", "seed"),
+        ("milestones = 1\nlr_factor = -1", "lr_factor"),
+        ("lr_factor = 0", "lr_factor"),
+        ("momentum = 1.5", "momentum"),
+        ("momentum = 1", "momentum"),
+        ("momentum = -1", "momentum"),
+        ("iid = false\nclasses_per_client = 0", "classes_per_client"),
+        ("train_per_class = 0", "train_per_class"),
+        ("test_per_class = 0", "test_per_class"),
+        ("model = mlp\nhidden = 0", "hidden"),
+        ("model = mlp\nhidden = 8,0", "hidden"),
+        ("model = mlp\nhidden =", "hidden"),
+        ("classes = 5", "input_dim"),
     ])
     def test_engine_range_rules_name_the_key(self, tmp_path, line, key):
         path = write(tmp_path, MINIMAL + line + "\n")
@@ -138,6 +151,13 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
+    def test_build_run_config_sets_every_engine_field(self, tmp_path, monkeypatch):
+        # every engine option comes from the config file: none is settable only by tests
+        passed = []
+        monkeypatch.setattr(runner, "RunConfig", lambda **kw: passed.append(kw) or RunConfig(**kw))
+        runner.build_run_config(parse_config(write(tmp_path, SMALL)), seed=1)
+        assert set(passed[0]) == {f.name for f in dataclasses.fields(RunConfig)}
+
     def test_row_count_matches_rounds(self, tmp_path):
         cfg = parse_config(write(tmp_path, SMALL))
         out = tmp_path / "m.csv"
@@ -313,7 +333,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_write_parse_round_trip(**values):
     """parse_config(write_config(cfg)) == cfg, or write_config rejects, by key,
     a value that a plainly written line would not give back."""
-    cfg = ExperimentConfig(protocol="fed-lamb", input_dim=4, **values)
+    cfg = ExperimentConfig(protocol="fed-lamb", input_dim=10, **values)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "copy.cfg"
         try:

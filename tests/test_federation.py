@@ -243,13 +243,12 @@ class TestLocalRound:
         res = local_round(clients[0], theta0, None, cfg, r=1, alpha_r=0.5)
         assert all(np.array_equal(a, b) for a, b in zip(res.params.blocks, theta0.blocks))
 
-    def test_fed_lamb_displacement_law(self):
-        cfg = make_cfg("fed-lamb", n=2, batch_size=10_000, track_displacement=True)
+    def test_fed_lamb_displacement_law(self, lamb_displacements):
+        cfg = make_cfg("fed-lamb", n=2, batch_size=10_000)
         server, clients = init_run(cfg)
-        disp = []
-        run_round(server, clients, cfg, displacement_out=disp)
-        assert disp
-        for actual, bound, fallback in disp:
+        run_round(server, clients, cfg)
+        assert lamb_displacements
+        for actual, bound, fallback in lamb_displacements:
             if not fallback:
                 assert abs(actual - bound) <= 1e-9
 
@@ -271,10 +270,12 @@ class TestLazySync:
         opened = [r for r in range(1, 10) if lazy_sync_gate(r, 3)]
         assert opened == [3, 6, 9]
 
-    def test_gated_z1_matches_ungated_path(self):
+    def test_gated_z1_matches_ungated_path(self, monkeypatch):
         trajs = []
-        for gating in (True, False):
-            cfg = make_cfg("fed-lamb", n=3, lazy_period=1, lazy_gating=gating)
+        for gated in (True, False):
+            if not gated:  # the ungated reference: a gate that is always open
+                monkeypatch.setattr(federation, "lazy_sync_gate", lambda r, Z: True)
+            cfg = make_cfg("fed-lamb", n=3, lazy_period=1)
             server, clients = init_run(cfg)
             rows = []
             for _ in range(5):
@@ -334,7 +335,7 @@ class TestCommAccount:
 
 
 class TestRunRound:
-    def test_zero_heterogeneity_consensus(self):
+    def test_zero_heterogeneity_consensus(self, uploaded_params):
         # identical shards, full batches, full participation: every client
         # computes the same trajectory, so consensus error is exactly zero
         train = gen_blobs(3, 4, per_class=10, separation=4.0, noise=1.0, seed=0)
@@ -348,13 +349,13 @@ class TestRunRound:
             )
             server, clients = init_run(cfg)
             for _ in range(3):
-                out = []
-                run_round(server, clients, cfg, client_params_out=out)
-                mean_params = aggregate_params(out[-1])
-                for theta_i in out[-1]:
+                uploaded_params.clear()
+                run_round(server, clients, cfg)
+                mean_params = aggregate_params(uploaded_params)
+                for theta_i in uploaded_params:
                     assert dist(mean_params, theta_i) <= 1e-12, proto
 
-    def test_single_round_consensus_bound(self):
+    def test_single_round_consensus_bound(self, uploaded_params):
         phi = clipped(0.5, 1.0)
         alpha = 0.05
         cfg = make_cfg("fed-lamb", n=4, batch_size=10_000, phi=phi,
@@ -368,11 +369,11 @@ class TestRunRound:
             server.params.names,
             (rng.standard_normal(b.shape) for b in server.params.blocks),
         ))
-        out = []
-        run_round(server, clients, cfg, client_params_out=out)
+        run_round(server, clients, cfg)
+        assert len(uploaded_params) == cfg.n
         h = len(server.params.blocks)
         bound = 2 * alpha * 1.0 * math.sqrt(h)
-        for theta_i in out[-1]:
+        for theta_i in uploaded_params:
             assert dist(server.params, theta_i) <= bound + 1e-12
 
     def test_client_order_invariance(self, monkeypatch):
@@ -509,9 +510,9 @@ class TestRunRound:
             (name, obj) for name, obj in vars(federation).items()
             if not name.startswith("_") and inspect.isfunction(obj)
         ]
-        assert {"aggregate_vhat_fedlamb", "mime_vhat_update", "lamb_step", "local_round"} <= {
-            name for name, _ in public
-        }
+        assert {
+            "aggregate_vhat_fedlamb", "mime_vhat_update", "lamb_step", "local_round", "lazy_sync_gate",
+        } <= {name for name, _ in public}
         for name, fn in public:
             monkeypatch.setattr(federation, name, pass_through(fn))
         assert three_rounds() == plain

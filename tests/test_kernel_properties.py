@@ -179,10 +179,9 @@ def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, 
 
     theta, m, *grads = (masked(x, z) for x, z in zip(xs, zero))
     vhat = BlockVector(theta.layout, np.abs(grads[0].data))  # zero blocks sit below eps
-    cfg = SimpleNamespace(hyper=Hyper(alpha=lr, lam=lam, eps=eps), phi=phi,
-                          momentum=0.9, track_displacement=False)
+    cfg = SimpleNamespace(hyper=Hyper(alpha=lr, lam=lam, eps=eps), phi=phi, momentum=0.9)
     v = vhat if track_v else None
-    s = _LocalRound(cfg, lr, theta, m, v, vhat, m, [])
+    s = _LocalRound(cfg, lr, theta, m, v, vhat, m)
     want = dict(theta=theta, m=m, v=v, vhat=vhat, buf=m)
     inputs = [x.data.tobytes() for x in (theta, m, vhat)]
     rule_fn = getattr(_LocalRound, rule)
