@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .federation import PROTOCOLS
-from .models import ACTIVATIONS, KINDS
-from .optim import IDENTITY, Hyper, HyperError, ScalingFn, clipped, milestone_lr
+from .federation import RunConfig
+from .models import ModelSpec
+from .optim import IDENTITY, Hyper, RangeError, ScalingFn, check_ranges, clipped, milestone_lr
 
 
 class ConfigError(ValueError):
@@ -64,39 +64,25 @@ class ExperimentConfig:
     out: str = ""
 
     def validate(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"key 'protocol': unknown protocol {self.protocol!r}")
-        if self.model not in KINDS:
-            raise ConfigError(f"key 'model': unknown model kind {self.model!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"key 'activation': unknown activation {self.activation!r}")
+        """Checks the keys only the file has, then builds the engine's values,
+        whose own rules name any other key out of range."""
         if self.data not in ("blobs", "csv"):
             raise ConfigError(f"key 'data': must be 'blobs' or 'csv'")
         if self.data == "csv" and not (self.csv_train and self.csv_test):
             raise ConfigError("key 'csv_train'/'csv_test': required when data = csv")
-        if self.input_dim < 1:
-            raise ConfigError("key 'input_dim': must be >= 1")
-        for key in ("n_clients", "rounds", "local_epochs", "batch_size", "classes", "repeat",
-                    "lazy_period", "classes_per_client", "train_per_class", "test_per_class"):
+        for key in ("n_clients", "rounds", "classes", "repeat", "classes_per_client",
+                    "train_per_class", "test_per_class"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key '{key}': must be >= 1")
-        if self.model == "mlp" and not (self.hidden and min(self.hidden) >= 1):
-            raise ConfigError("key 'hidden': mlp needs one or more widths, each >= 1")
         if self.data == "blobs" and self.input_dim < self.classes:
             raise ConfigError("key 'input_dim': blobs need input_dim >= classes")
-        if not 0 < self.participation <= 1:
-            raise ConfigError("key 'participation': must be in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError("key 'seed': must be >= 0")
-        if not self.lr_factor > 0:
-            raise ConfigError("key 'lr_factor': must be > 0")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("key 'momentum': must be in [0, 1)")
-        if self.protocol == "adp-fed" and not (self.eta_local > 0 and self.eta_global > 0):
-            raise ConfigError("key 'eta_local'/'eta_global': required for adp-fed")
+        if self.protocol == "adp-fed" and not self.eta_local > 0:
+            raise ConfigError("key 'eta_local': must be > 0 for adp-fed")
         try:
+            check_ranges(self, RunConfig.RULES)
             self.hyper()
-        except HyperError as exc:
+            self.model_spec()
+        except RangeError as exc:
             raise ConfigError(f"key {exc.key!r}: {exc}") from exc
         try:
             milestone_lr(1.0, 1, self.milestones, self.lr_factor)  # checks their order
@@ -109,6 +95,10 @@ class ExperimentConfig:
         """The engine's step hyperparameters; adp-fed's local rate is eta_local."""
         alpha = self.eta_local if self.protocol == "adp-fed" else self.alpha
         return Hyper(alpha=alpha, beta1=self.beta1, beta2=self.beta2, lam=self.lam, eps=self.eps)
+
+    def model_spec(self) -> ModelSpec:
+        hidden = self.hidden if self.model == "mlp" else ()
+        return ModelSpec(self.model, self.input_dim, hidden, self.classes, self.activation)
 
     def scaling_fn(self) -> ScalingFn:
         if self.phi == "identity":
@@ -124,13 +114,15 @@ class ExperimentConfig:
         raise ConfigError(f"key 'phi': unknown scaling {self.phi!r}")
 
 
-_INT_TUPLE_KEYS = {"hidden", "milestones"}
-_BOOL_KEYS = {"iid", "reshard_each_round"}
+# each key's type, from the field annotations (strings, under postponed evaluation)
+_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_INT_TUPLE_KEYS = {key for key, t in _TYPES.items() if t == "tuple[int, ...]"}
+_BOOL_KEYS = {key for key, t in _TYPES.items() if t == "bool"}
 # A comment starts at a `#` that begins the line or follows whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _parse_value(key: str, raw: str, kind):
+def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
         if key in _INT_TUPLE_KEYS:
@@ -141,18 +133,13 @@ def _parse_value(key: str, raw: str, kind):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return kind(raw)
+        return {"int": int, "float": float}.get(_TYPES[key], str)(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a key=value config file."""
-    spec_fields = {f.name: f.type for f in fields(ExperimentConfig)}
-    kinds = {
-        name: (int if t in ("int",) else float if t == "float" else str)
-        for name, t in spec_fields.items()
-    }
     cfg = ExperimentConfig()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -162,9 +149,9 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in spec_fields:
+            if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, _parse_value(key, raw, kinds[key]))
+            setattr(cfg, key, _parse_value(key, raw))
     return cfg.validate()
 
 

@@ -23,7 +23,8 @@ from .data import ClientShard, Dataset, minibatch_stream
 # blocks.ratio_div and the metric pass only when it finds them under federation's names.
 from .models import ModelSpec, NumericOverflowError, backward, evaluate, forward_loss, full_gradient, init_params
 from .optim import (
-    IDENTITY, Hyper, ScalingFn, amsgrad_step, denominator, lamb_step, milestone_lr, moment_update, sgd_step,
+    IDENTITY, Hyper, ScalingFn, amsgrad_step, check_ranges, denominator, lamb_step, milestone_lr,
+    moment_update, sgd_step,
 )
 
 
@@ -80,7 +81,7 @@ class RunConfig:
     test: Dataset
     shards: list[ClientShard]
     hyper: Hyper
-    eta_global: float | None = None   # adp-fed only
+    eta_global: float = 0.0   # the adam server rule's rate
     local_epochs: int = 1
     batch_size: int = 64
     participation: float = 1.0
@@ -91,17 +92,23 @@ class RunConfig:
     phi: ScalingFn = IDENTITY
     momentum: float = 0.0
 
+    # (key, rule, test) over the fields named as in the config file, whose
+    # parser checks the file's values with this same list
+    RULES = (
+        ("protocol", f"must be one of {', '.join(TABLE)}", lambda c: c.protocol in TABLE),
+        ("participation", "must be in (0, 1]", lambda c: 0 < c.participation <= 1),
+        ("lazy_period", "must be >= 1", lambda c: c.lazy_period >= 1),
+        ("local_epochs", "must be >= 1", lambda c: c.local_epochs >= 1),
+        ("batch_size", "must be >= 1", lambda c: c.batch_size >= 1),
+        ("seed", "must be >= 0", lambda c: c.seed >= 0),
+        ("lr_factor", "must be > 0", lambda c: c.lr_factor > 0),
+        ("momentum", "must be in [0, 1)", lambda c: 0 <= c.momentum < 1),
+        ("eta_global", "must be > 0 for the adam server rule",
+         lambda c: TABLE[c.protocol].server != "adam" or c.eta_global > 0),
+    )
+
     def __post_init__(self):
-        if self.protocol not in TABLE:
-            raise ProtocolError(f"unknown protocol {self.protocol!r}")
-        if not 0 < self.participation <= 1:
-            raise ValueError("participation must be in (0, 1]")
-        if self.lazy_period < 1:
-            raise ValueError("lazy_period must be >= 1")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
-        if TABLE[self.protocol].server == "adam" and self.eta_global is None:
-            raise ValueError(f"{self.protocol} needs eta_global")
+        check_ranges(self, self.RULES)
 
     @property
     def n(self) -> int:

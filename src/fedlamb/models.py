@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
+from .optim import check_ranges
 
 KINDS = ("linear-regression", "logistic", "mlp")
 ACTIVATIONS = ("relu", "tanh")
@@ -36,22 +37,16 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden sizes must be positive")
-        if self.kind == "mlp":
-            if not self.hidden:
-                raise ValueError("mlp needs at least one hidden layer")
-            if self.classes < 2:
-                raise ValueError("mlp needs at least two classes")
-        if self.kind == "logistic" and self.classes != 2:
-            raise ValueError("logistic model is binary (classes=2)")
+        check_ranges(self, (
+            ("model", f"must be one of {', '.join(KINDS)}", lambda s: s.kind in KINDS),
+            ("input_dim", "must be >= 1", lambda s: s.input_dim >= 1),
+            ("hidden", "widths must be >= 1", lambda s: all(h >= 1 for h in s.hidden)),
+            ("hidden", "needs one or more widths for mlp", lambda s: s.kind != "mlp" or s.hidden),
+            ("classes", "must be >= 2 for mlp", lambda s: s.kind != "mlp" or s.classes >= 2),
+            ("classes", "must be 2 for logistic", lambda s: s.kind != "logistic" or s.classes == 2),
+            ("activation", f"must be one of {', '.join(ACTIVATIONS)}", lambda s: s.activation in ACTIVATIONS),
+        ))
 
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.classes)

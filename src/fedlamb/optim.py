@@ -22,12 +22,20 @@ import numpy as np
 from .blocks import Layout, lin_comb, ratio_div, square  # noqa: F401
 
 
-class HyperError(ValueError):
-    """A hyperparameter is out of range; `key` names it."""
+class RangeError(ValueError):
+    """A value of an engine type is out of range; `key` names it as the
+    config file does."""
 
     def __init__(self, key: str, rule: str):
         super().__init__(f"{key} {rule}")
         self.key = key
+
+
+def check_ranges(obj, rules) -> None:
+    """Raise RangeError for the first (key, rule, test) whose test(obj) is false."""
+    for key, rule, test in rules:
+        if not test(obj):
+            raise RangeError(key, rule)
 
 
 @dataclass(frozen=True)
@@ -39,15 +47,13 @@ class Hyper:
     eps: float = 1e-8
 
     def __post_init__(self):
-        for key, ok, rule in (
-            ("alpha", self.alpha > 0, "must be positive"),
-            ("beta1", 0 <= self.beta1 < 1, "must be in [0, 1)"),
-            ("beta2", 0 <= self.beta2 < 1, "must be in [0, 1)"),
-            ("lam", 0 <= self.lam <= 1, "must be in [0, 1]"),
-            ("eps", self.eps > 0, "must be positive"),
-        ):
-            if not ok:
-                raise HyperError(key, rule)
+        check_ranges(self, (
+            ("alpha", "must be positive", lambda h: h.alpha > 0),
+            ("beta1", "must be in [0, 1)", lambda h: 0 <= h.beta1 < 1),
+            ("beta2", "must be in [0, 1)", lambda h: 0 <= h.beta2 < 1),
+            ("lam", "must be in [0, 1]", lambda h: 0 <= h.lam <= 1),
+            ("eps", "must be positive", lambda h: h.eps > 0),
+        ))
 
 
 @dataclass(frozen=True)

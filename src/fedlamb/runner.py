@@ -14,7 +14,6 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig
 from .data import Dataset, gen_blobs, load_csv, partition_iid, partition_label_shards
 from .federation import RoundMetrics, RunConfig, init_run, run_round
-from .models import ModelSpec
 
 METRIC_COLUMNS = (
     "round",
@@ -39,16 +38,6 @@ DEFAULT_GRIDS = {
                       0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
     "adp-fed-global": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
 }
-
-
-def build_model_spec(cfg: ExperimentConfig) -> ModelSpec:
-    return ModelSpec(
-        kind=cfg.model,
-        input_dim=cfg.input_dim,
-        hidden=cfg.hidden if cfg.model == "mlp" else (),
-        classes=cfg.classes,
-        activation=cfg.activation,
-    )
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -77,12 +66,12 @@ def build_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
     train, test = build_datasets(cfg, seed)
     return RunConfig(
         protocol=cfg.protocol,
-        spec=build_model_spec(cfg),
+        spec=cfg.model_spec(),
         train=train,
         test=test,
         shards=build_shards(cfg, train, seed),
         hyper=cfg.hyper(),
-        eta_global=cfg.eta_global or None,
+        eta_global=cfg.eta_global,
         local_epochs=cfg.local_epochs,
         batch_size=cfg.batch_size,
         participation=cfg.participation,

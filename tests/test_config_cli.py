@@ -11,6 +11,7 @@ from fedlamb import runner
 from fedlamb.cli import main
 from fedlamb.config import ConfigError, ExperimentConfig, parse_config, write_config
 from fedlamb.federation import RoundMetrics, RunConfig
+from fedlamb.optim import RangeError
 from fedlamb.runner import (
     DEFAULT_GRIDS,
     METRIC_COLUMNS,
@@ -133,11 +134,29 @@ class TestParseConfig:
         ("model = mlp\nhidden = 8,0", "hidden"),
         ("model = mlp\nhidden =", "hidden"),
         ("classes = 5", "input_dim"),
+        ("classes = 3", "classes"),
+        ("model = mlp\nclasses = 1", "classes"),
     ])
     def test_engine_range_rules_name_the_key(self, tmp_path, line, key):
         path = write(tmp_path, MINIMAL + line + "\n")
         with pytest.raises(ConfigError, match=f"key '{key}'"):
             parse_config(path)
+
+    def test_parser_and_run_config_share_the_range_rules(self, tmp_path):
+        # one out-of-range value per rule in RunConfig's list, on an adp-fed run so
+        # that the eta_global rule applies: the file and the engine reject it by key
+        bad = {"protocol": "bogus", "participation": 0, "lazy_period": 0, "local_epochs": 0,
+               "batch_size": 0, "seed": -1, "lr_factor": -1, "momentum": 1.5, "eta_global": -1}
+        text = MINIMAL.replace("fed-lamb", "adp-fed") + "eta_local = 0.05\neta_global = 0.05\n"
+        run_cfg = runner.build_run_config(parse_config(write(tmp_path, text)), seed=0)
+        keys = [key for key, _, _ in RunConfig.RULES]
+        assert sorted(keys) == sorted(bad)
+        for key in keys:
+            with pytest.raises(ConfigError, match=f"key '{key}'"):
+                parse_config(write(tmp_path, text + f"{key} = {bad[key]}\n"))
+            with pytest.raises(RangeError) as info:
+                dataclasses.replace(run_cfg, **{key: bad[key]})
+            assert info.value.key == key
 
     def test_adp_fed_requires_both_rates(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("fed-lamb", "adp-fed"))

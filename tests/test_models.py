@@ -17,6 +17,7 @@ from fedlamb.models import (
     init_params,
     param_template,
 )
+from fedlamb.optim import RangeError
 
 import oracles
 
@@ -39,6 +40,21 @@ def random_params(spec, rng, scale=0.5):
     return BlockVector.of(
         [(name, scale * rng.standard_normal(size)) for name, size, _ in param_template(spec)]
     )
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(kind="cnn", input_dim=4), "model"),
+    (dict(kind="logistic", input_dim=0), "input_dim"),
+    (dict(kind="mlp", input_dim=4, classes=3), "hidden"),
+    (dict(kind="mlp", input_dim=4, hidden=(5, 0), classes=3), "hidden"),
+    (dict(kind="mlp", input_dim=4, hidden=(5,), classes=1), "classes"),
+    (dict(kind="logistic", input_dim=4, classes=3), "classes"),
+    (dict(kind="mlp", input_dim=4, hidden=(5,), classes=3, activation="gelu"), "activation"),
+])
+def test_spec_rules_name_the_config_key(kwargs, key):
+    with pytest.raises(RangeError) as info:
+        ModelSpec(**kwargs)
+    assert info.value.key == key
 
 
 class TestInitParams:
