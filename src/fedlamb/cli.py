@@ -6,8 +6,11 @@ import sys
 
 import click
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .runner import compare_protocols, grid_sweep, run_experiment
+
+# printed as "Error: ..." with exit code 1; a diverged run raises FloatingPointError
+_REPORTED = (ValueError, FloatingPointError, OSError)
 
 
 def _load(path, seed, repeat) -> ExperimentConfig:
@@ -36,7 +39,7 @@ def run(config, seed, out, repeat, quiet):
         cfg = _load(config, seed, repeat)
         log = None if quiet else click.echo
         summary = run_experiment(cfg, out=out, log=log)
-    except (ConfigError, ValueError, OSError) as exc:
+    except _REPORTED as exc:
         raise click.ClickException(str(exc))
     click.echo(
         f"best accuracy {summary['mean_best_test_accuracy']:.4f} "
@@ -57,7 +60,7 @@ def sweep(config, grid, seed, out, repeat):
         cfg = _load(config, seed, repeat)
         values = None if grid == "default" else [float(v) for v in grid.split(",")]
         rows = grid_sweep(cfg, grid=values, out_dir=out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except _REPORTED as exc:
         raise click.ClickException(str(exc))
     for row in rows:
         click.echo(
@@ -77,7 +80,7 @@ def compare(configs, target, seed, out):
     try:
         cfgs = [_load(path, seed, None) for path in configs]
         table = compare_protocols(cfgs, target=target, out=out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except _REPORTED as exc:
         raise click.ClickException(str(exc))
     for proto in table["protocols"]:
         rtt = table["rounds_to_target"][proto]

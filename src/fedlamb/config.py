@@ -7,6 +7,7 @@ with defaults is ExperimentConfig below and is documented in the README.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -66,6 +67,9 @@ class ExperimentConfig:
     def validate(self):
         """Checks the keys only the file has, then builds the engine's values,
         whose own rules name any other key out of range."""
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"key '{key}': must be finite")
         if self.data not in ("blobs", "csv"):
             raise ConfigError(f"key 'data': must be 'blobs' or 'csv'")
         if self.data == "csv" and not (self.csv_train and self.csv_test):
@@ -118,6 +122,7 @@ class ExperimentConfig:
 _TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_TUPLE_KEYS = {key for key, t in _TYPES.items() if t == "tuple[int, ...]"}
 _BOOL_KEYS = {key for key, t in _TYPES.items() if t == "bool"}
+_FLOAT_KEYS = tuple(key for key, t in _TYPES.items() if t == "float")
 # A comment starts at a `#` that begins the line or follows whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
 

@@ -1,7 +1,9 @@
-"""Dataset ingestion, synthetic blob generation and client partitioning.
+"""The one sample container, dataset ingestion, synthetic blob generation,
+client partitioning and minibatches.
 
 All generators and partitioners are deterministic functions of their seed;
-shards are index views into an immutable parent dataset.
+shards are index views into an immutable parent dataset. Every sample set a
+model pass reads (a minibatch, a shard, a split) is a read-only `Dataset`.
 """
 
 from __future__ import annotations
@@ -9,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .models import Batch
 
 _BLOB_TAG = 0xB10B
 _IID_TAG = 0x11D
@@ -204,9 +204,9 @@ def partition_label_shards(
 
 def minibatch_stream(
     dataset: Dataset, shard: ClientShard, batch_size: int, epoch: int, seed: int
-) -> list[Batch]:
+) -> list[Dataset]:
     """One local epoch: a fresh seed-and-epoch-keyed permutation of the
-    shard cut into batches, with a final short batch if needed."""
+    shard cut into read-only batches, with a final short batch if needed."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     perm = np.random.default_rng([_BATCH_TAG, seed, epoch]).permutation(len(shard))
@@ -214,5 +214,5 @@ def minibatch_stream(
     batches = []
     for start in range(0, len(order), batch_size):
         sel = order[start : start + batch_size]
-        batches.append(Batch(dataset.features[sel], dataset.labels[sel]))
+        batches.append(Dataset(dataset.features[sel], dataset.labels[sel], dataset.classes))
     return batches

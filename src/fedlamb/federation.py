@@ -264,7 +264,7 @@ def local_round(
                 raise NumericOverflowError(
                     f"client {client.client_id}, local step {step}: {exc}"
                 ) from exc
-            result.grad_evals += len(batch)
+            result.grad_evals += batch.n
             rule(s, g.data)
 
     client.m, client.momentum_buf, result.params, result.v = (
@@ -399,12 +399,13 @@ def run_round(
         results.sort(key=lambda res: res.client_id)
         getattr(server, proto.server)(results, cfg, gate)
         server.round_index = r
+
+        comm = comm_account(cfg.protocol, server.params.dim, len(ids), r, cfg.lazy_period)
+        train_loss, grad = full_gradient(cfg.spec, server.params, cfg.train)
+        test_acc, _ = evaluate(cfg.spec, server.params, cfg.test)
     except Exception as exc:
         raise _round_error(exc, r) from exc
 
-    comm = comm_account(cfg.protocol, server.params.dim, len(ids), r, cfg.lazy_period)
-    train_loss, grad = full_gradient(cfg.spec, server.params, cfg.train)
-    test_acc, _ = evaluate(cfg.spec, server.params, cfg.test)
     metrics = RoundMetrics(
         round=r,
         train_loss=train_loss,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockVector
+from .data import Dataset
 from .optim import check_ranges
 
 KINDS = ("linear-regression", "logistic", "mlp")
@@ -50,23 +51,6 @@ class ModelSpec:
 
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.classes)
-
-
-@dataclass(frozen=True)
-class Batch:
-    features: np.ndarray  # (b, d)
-    labels: np.ndarray    # class indices, or real targets for regression
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels))
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("features must be a non-empty (b, d) matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be a vector matching the batch size")
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 def param_template(spec: ModelSpec) -> list[tuple[str, int, int]]:
@@ -117,7 +101,7 @@ def _block_names(spec: ModelSpec) -> tuple[str, ...]:
     return tuple(n for n, _, _ in param_template(spec))
 
 
-def _check_batch(spec: ModelSpec, params: BlockVector, batch: Batch):
+def _check_batch(spec: ModelSpec, params: BlockVector, batch: Dataset):
     if batch.features.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature width {batch.features.shape[1]} != input_dim {spec.input_dim}"
@@ -158,7 +142,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
-def _forward(spec: ModelSpec, params: BlockVector, batch: Batch):
+def _forward(spec: ModelSpec, params: BlockVector, batch: Dataset):
     """One forward pass: (out, scores, saved). The loss and its gradient start
     from `out` (residual, logit or log-probabilities), a class prediction from
     `scores`; `saved` holds the MLP's layer inputs and weights."""
@@ -183,7 +167,7 @@ def _loss_terms(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> np.ndar
     return -out[np.arange(len(labels)), labels.astype(np.intp)]
 
 
-def _gradient(spec: ModelSpec, params: BlockVector, batch: Batch, out, saved, n: int, g: np.ndarray):
+def _gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, out, saved, n: int, g: np.ndarray):
     """Writes into `g` the batch's share of the gradient of a mean loss over
     `n` samples, from `_forward`'s `out` and `saved`."""
     X = batch.features
@@ -198,7 +182,7 @@ def _gradient(spec: ModelSpec, params: BlockVector, batch: Batch, out, saved, n:
     else:
         acts, Ws = saved
         delta = np.exp(out)
-        delta[np.arange(len(batch)), batch.labels.astype(np.intp)] -= 1.0
+        delta[np.arange(batch.n), batch.labels.astype(np.intp)] -= 1.0
         delta /= n
         for i in range(len(Ws) - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=views[2 * i].reshape(Ws[i].shape))
@@ -211,54 +195,50 @@ def _gradient(spec: ModelSpec, params: BlockVector, batch: Batch, out, saved, n:
                     delta *= 1.0 - acts[i] * acts[i]
 
 
-def _loss_and_gradient(spec: ModelSpec, params: BlockVector, batch: Batch, with_loss: bool):
+def _loss_and_gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, with_loss: bool):
     """(mean loss or None, gradient of the mean loss) over consecutive `_CHUNK`-row
     chunks of `batch`, in order: each chunk divides by the whole batch's size,
     the first writes the gradient and later ones add to it, and the loss is one
     mean over every sample's term. A batch of at most `_CHUNK` rows is one chunk."""
-    n = len(batch)
+    n = batch.n
     flat, tmp = np.empty(params.dim), np.empty(params.dim) if n > _CHUNK else None
     terms = np.empty(n) if with_loss else None
     for lo in range(0, n, _CHUNK):
-        chunk = batch if n <= _CHUNK else Batch(batch.features[lo : lo + _CHUNK], batch.labels[lo : lo + _CHUNK])
+        chunk = batch if n <= _CHUNK else Dataset(
+            batch.features[lo : lo + _CHUNK], batch.labels[lo : lo + _CHUNK], batch.classes)
         out, _, saved = _forward(spec, params, chunk)
         if with_loss:
-            terms[lo : lo + len(chunk)] = _loss_terms(spec, out, chunk.labels)
+            terms[lo : lo + chunk.n] = _loss_terms(spec, out, chunk.labels)
         _gradient(spec, params, chunk, out, saved, n, tmp if lo else flat)
         if lo:
             flat += tmp
     return float(np.mean(terms)) if with_loss else None, BlockVector(params.layout, flat)
 
 
-def forward_loss(spec: ModelSpec, params: BlockVector, batch: Batch) -> float:
+def forward_loss(spec: ModelSpec, params: BlockVector, batch: Dataset) -> float:
     """Mean loss over the batch; cross-entropy via stable log-sum-exp."""
     return float(np.mean(_loss_terms(spec, _forward(spec, params, batch)[0], batch.labels)))
 
 
-def backward(spec: ModelSpec, params: BlockVector, batch: Batch) -> BlockVector:
+def backward(spec: ModelSpec, params: BlockVector, batch: Dataset) -> BlockVector:
     """Gradient of the mean batch loss with respect to every block."""
     return _loss_and_gradient(spec, params, batch, with_loss=False)[1]
 
 
-def full_gradient(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, BlockVector]:
+def full_gradient(spec: ModelSpec, params: BlockVector, dataset: Dataset) -> tuple[float, BlockVector]:
     """(mean loss, exact mean gradient) over a whole dataset, one chunked pass each way."""
-    if dataset.n < 1:
-        raise ValueError("full_gradient over empty dataset")
-    return _loss_and_gradient(spec, params, Batch(dataset.features, dataset.labels), with_loss=True)
+    return _loss_and_gradient(spec, params, dataset, with_loss=True)
 
 
-def evaluate(spec: ModelSpec, params: BlockVector, dataset) -> tuple[float, float]:
+def evaluate(spec: ModelSpec, params: BlockVector, dataset: Dataset) -> tuple[float, float]:
     """(accuracy, mean loss) from one forward pass; argmax ties break toward
     the smallest class index.
 
     Linear regression has no class prediction; its accuracy reports 0.0.
     """
-    if dataset.n < 1:
-        raise ValueError("evaluate over empty dataset")
-    batch = Batch(dataset.features, dataset.labels)
-    out, scores, _ = _forward(spec, params, batch)
-    loss = float(np.mean(_loss_terms(spec, out, batch.labels)))
+    out, scores, _ = _forward(spec, params, dataset)
+    loss = float(np.mean(_loss_terms(spec, out, dataset.labels)))
     if spec.kind == "linear-regression":
         return 0.0, loss
     pred = (scores > 0) if spec.kind == "logistic" else np.argmax(scores, axis=1)
-    return float(np.mean(pred == batch.labels.astype(np.intp))), loss
+    return float(np.mean(pred == dataset.labels.astype(np.intp))), loss

@@ -9,22 +9,14 @@ from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import fields
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
 from .data import Dataset, gen_blobs, load_csv, partition_iid, partition_label_shards
 from .federation import RoundMetrics, RunConfig, init_run, run_round
 
-METRIC_COLUMNS = (
-    "round",
-    "train_loss",
-    "test_accuracy",
-    "grad_norm_sq",
-    "uplink_floats",
-    "downlink_floats",
-    "grad_evals",
-    "wall_time",
-)
+METRIC_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
 # Default learning-rate search grids per protocol; adp-fed crosses the
 # local grid with the global one.
@@ -106,16 +98,7 @@ def run_single(cfg: ExperimentConfig, seed: int, log=None) -> list[RoundMetrics]
 
 
 def format_metric_row(m: RoundMetrics) -> str:
-    return ",".join([
-        str(m.round),
-        repr(m.train_loss),
-        repr(m.test_accuracy),
-        repr(m.grad_norm_sq),
-        str(m.uplink_floats),
-        str(m.downlink_floats),
-        str(m.grad_evals),
-        repr(m.wall_time),
-    ])
+    return ",".join(str(getattr(m, key)) for key in METRIC_COLUMNS)
 
 
 def write_metrics(history: list[RoundMetrics], path):

@@ -16,7 +16,7 @@ import numpy as np
 from fedlamb import blocks, federation
 from fedlamb.blocks import BlockVector, lin_comb, norm_sq
 from fedlamb.config import ExperimentConfig
-from fedlamb.data import ClientShard, gen_blobs, minibatch_stream, partition_iid
+from fedlamb.data import ClientShard, Dataset, gen_blobs, minibatch_stream, partition_iid
 from fedlamb.federation import (
     PROTOCOLS,
     RunConfig,
@@ -25,7 +25,7 @@ from fedlamb.federation import (
     run_round,
     sample_clients,
 )
-from fedlamb.models import Batch, ModelSpec, backward, forward_loss, param_template
+from fedlamb.models import ModelSpec, backward, forward_loss, param_template
 from fedlamb.optim import Hyper, IDENTITY, amsgrad_step, denominator, lamb_step, moment_update, sgd_step
 from fedlamb.runner import run_experiment, run_single, rounds_to_target
 
@@ -145,7 +145,7 @@ def test_criterion_2_gradient_finite_differences():
             ])
             X = rng.standard_normal((16, spec.input_dim))
             y = rng.integers(0, spec.classes, 16)
-            batch = Batch(X, y)
+            batch = Dataset(X, y, spec.classes)
             g = backward(spec, params, batch)
             loss_fn = lambda q: forward_loss(spec, q, batch)
             for _ in range(50):

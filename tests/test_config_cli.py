@@ -136,6 +136,11 @@ class TestParseConfig:
         ("classes = 5", "input_dim"),
         ("classes = 3", "classes"),
         ("model = mlp\nclasses = 1", "classes"),
+        ("noise = nan", "noise"),
+        ("separation = inf", "separation"),
+        ("protocol = adp-fed\neta_local = 0.05\neta_global = inf", "eta_global"),
+        ("eps = inf", "eps"),
+        ("lr_factor = inf", "lr_factor"),
     ])
     def test_engine_range_rules_name_the_key(self, tmp_path, line, key):
         path = write(tmp_path, MINIMAL + line + "\n")
@@ -316,6 +321,16 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code != 0
         assert "participation" in result.output
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_run_diverged_is_an_error_not_a_traceback(self, tmp_path):
+        text = SMALL.replace("fed-lamb", "fed-sgd").replace("logistic", "mlp").replace(
+            "rounds = 3", "rounds = 5").replace("alpha = 0.05", "alpha = 1e150")
+        path = write(tmp_path, text + "hidden = 8\n")
+        result = CliRunner().invoke(main, ["run", str(path), "--out", str(tmp_path / "d.csv"), "--quiet"])
+        assert result.exit_code == 1
+        assert "Error: round 1:" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_sweep_command_custom_grid(self, tmp_path):
         path = write(tmp_path, SMALL)

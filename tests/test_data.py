@@ -83,7 +83,7 @@ class TestGenBlobs:
         assert not np.array_equal(a.features, c.features)
 
     def test_separable_blobs_are_learnable(self):
-        from fedlamb.models import Batch, ModelSpec, backward, evaluate, init_params
+        from fedlamb.models import ModelSpec, backward, evaluate, init_params
         from fedlamb.blocks import BlockVector
         from fedlamb.optim import sgd_step
 
@@ -92,7 +92,7 @@ class TestGenBlobs:
         init = init_params(spec, 0)
         theta, tmp = init.data.copy(), np.empty(init.dim)
         params = BlockVector(init.layout, theta.view())
-        batch = Batch(ds.features, ds.labels)
+        batch = Dataset(ds.features, ds.labels, ds.classes)
         for _ in range(300):
             sgd_step(theta, backward(spec, params, batch).data, 0.5, tmp=tmp)
         acc, _ = evaluate(spec, params, ds)
@@ -213,11 +213,19 @@ class TestMinibatchStream:
 
     def test_remainder_batch(self):
         batches = minibatch_stream(self._data(5), self._shard(5), 2, epoch=0, seed=0)
-        assert [len(b) for b in batches] == [2, 2, 1]
+        assert [b.n for b in batches] == [2, 2, 1]
+
+    def test_batches_are_read_only_datasets(self):
+        for batch in minibatch_stream(self._data(5), self._shard(5), 2, epoch=0, seed=0):
+            assert isinstance(batch, Dataset) and batch.classes == 2
+            with pytest.raises(ValueError, match="read-only"):
+                batch.features[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                batch.labels[0] = 1
 
     def test_full_batch_mode(self):
         batches = minibatch_stream(self._data(4), self._shard(4), 10, epoch=0, seed=0)
-        assert len(batches) == 1 and len(batches[0]) == 4
+        assert len(batches) == 1 and batches[0].n == 4
 
     def test_replay_and_epoch_keying(self):
         ds, sh = self._data(16), self._shard(16)

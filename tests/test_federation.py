@@ -28,7 +28,7 @@ from fedlamb.federation import (
     run_round,
     sample_clients,
 )
-from fedlamb.models import Batch, ModelSpec, backward, forward_loss
+from fedlamb.models import ModelSpec, backward, forward_loss
 from fedlamb.optim import Hyper, clipped
 
 import oracles
@@ -448,6 +448,21 @@ class TestRunRound:
         assert isinstance(info.value, RoundError)
         assert info.value.__cause__ is original
 
+    def test_metric_pass_errors_tagged_with_round(self, monkeypatch):
+        original = ValueError("boom")
+
+        def fail(*args, **kwargs):
+            raise original
+
+        monkeypatch.setattr(federation, "evaluate", fail)
+        cfg = make_cfg("fed-lamb", n=2)
+        server, clients = init_run(cfg)
+        with pytest.raises(ValueError) as info:
+            run_round(server, clients, cfg)
+        assert isinstance(info.value, RoundError)
+        assert str(info.value) == "round 1: boom"
+        assert info.value.__cause__ is original
+
     def test_metric_pass_one_forward_per_dataset(self, monkeypatch):
         for proto in PROTOCOLS:
             cfg = make_cfg(proto, n=3, batch_size=8)
@@ -472,7 +487,7 @@ class TestRunRound:
         server, clients = init_run(cfg)
         for _ in range(3):
             m, _ = run_round(server, clients, cfg)
-        train = Batch(cfg.train.features, cfg.train.labels)
+        train = Dataset(cfg.train.features, cfg.train.labels, cfg.train.classes)
         assert m.train_loss == forward_loss(cfg.spec, server.params, train)
         assert m.grad_norm_sq == norm_sq(backward(cfg.spec, server.params, train))
 

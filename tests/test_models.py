@@ -7,7 +7,6 @@ from fedlamb import models
 from fedlamb.blocks import BlockVector, zeros_like
 from fedlamb.data import Dataset
 from fedlamb.models import (
-    Batch,
     ModelSpec,
     NumericOverflowError,
     backward,
@@ -33,7 +32,7 @@ def random_batch(spec, rng, size=16):
         y = rng.standard_normal(size)
     else:
         y = rng.integers(0, spec.classes, size)
-    return Batch(X, y)
+    return Dataset(X, y, spec.classes)
 
 
 def random_params(spec, rng, scale=0.5):
@@ -81,8 +80,8 @@ class TestInitParams:
 class TestForwardLoss:
     def test_logistic_zero_params_is_ln2(self):
         p = zeros_like(init_params(LOGISTIC, 0))
-        batch = Batch(np.random.default_rng(0).standard_normal((8, 4)),
-                      np.array([0, 1] * 4))
+        batch = Dataset(np.random.default_rng(0).standard_normal((8, 4)),
+                        np.array([0, 1] * 4), 2)
         assert forward_loss(LOGISTIC, p, batch) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_mlp_zero_output_weights_is_lnk(self):
@@ -101,8 +100,8 @@ class TestForwardLoss:
             p = random_params(spec, rng)
             batch = random_batch(spec, rng, size=9)
             want = np.mean([
-                forward_loss(spec, p, Batch(batch.features[i : i + 1], batch.labels[i : i + 1]))
-                for i in range(len(batch))
+                forward_loss(spec, p, Dataset(batch.features[i : i + 1], batch.labels[i : i + 1], spec.classes))
+                for i in range(batch.n)
             ])
             got = forward_loss(spec, p, batch)
             assert got == pytest.approx(want, rel=1e-12)
@@ -111,7 +110,7 @@ class TestForwardLoss:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_names_block(self):
         p = BlockVector.of([("w", np.full(4, 1e300)), ("b", [0.0])])
-        batch = Batch(np.full((2, 4), 1e300), np.array([0, 1]))
+        batch = Dataset(np.full((2, 4), 1e300), np.array([0, 1]), 2)
         with pytest.raises(NumericOverflowError, match="'w'"):
             forward_loss(LOGISTIC, p, batch)
 
@@ -120,14 +119,14 @@ class TestBackward:
     def test_logistic_hand_computed(self):
         spec = ModelSpec("logistic", input_dim=2)
         p = zeros_like(init_params(spec, 0))
-        g = backward(spec, p, Batch(np.array([[1.0, 0.0]]), np.array([1])))
+        g = backward(spec, p, Dataset(np.array([[1.0, 0.0]]), np.array([1]), 2))
         assert g.blocks[0].tolist() == [-0.5, 0.0]
         assert g.blocks[1][0] == -0.5
 
     def test_mlp_zero_features_output_bias(self):
         rng = np.random.default_rng(3)
         p = random_params(MLP, rng)
-        batch = Batch(np.zeros((6, MLP.input_dim)), rng.integers(0, 4, 6))
+        batch = Dataset(np.zeros((6, MLP.input_dim)), rng.integers(0, 4, 6), 4)
         g = backward(MLP, p, batch)
         # with zero inputs the output bias gradient is mean(softmax - onehot)
         logits = np.zeros((6, 4))
@@ -171,8 +170,8 @@ class TestBackward:
         b1 = random_batch(MLP, rng, size=5)
         b2 = random_batch(MLP, rng, size=11)
         p = random_params(MLP, rng)
-        both = Batch(np.vstack([b1.features, b2.features]),
-                     np.concatenate([b1.labels, b2.labels]))
+        both = Dataset(np.vstack([b1.features, b2.features]),
+                       np.concatenate([b1.labels, b2.labels]), 4)
         g_all = backward(MLP, p, both)
         g1 = backward(MLP, p, b1)
         g2 = backward(MLP, p, b2)
@@ -189,7 +188,7 @@ class TestFullGradient:
         y = np.array([2])
         ds = Dataset(X, y, 4)
         _, g1 = full_gradient(MLP, p, ds)
-        g2 = backward(MLP, p, Batch(X, y))
+        g2 = backward(MLP, p, Dataset(X, y, 4))
         assert all(np.array_equal(a, b) for a, b in zip(g1.blocks, g2.blocks))
 
     def test_duplication_invariant(self):
@@ -210,7 +209,7 @@ class TestFullGradient:
         X = rng.standard_normal((64, MLP.input_dim))
         y = rng.integers(0, 4, 64)
         _, got = full_gradient(MLP, p, Dataset(X, y, 4))
-        per = [backward(MLP, p, Batch(X[i : i + 1], y[i : i + 1])) for i in range(64)]
+        per = [backward(MLP, p, Dataset(X[i : i + 1], y[i : i + 1], 4)) for i in range(64)]
         for bi in range(len(got.blocks)):
             want = np.mean([g.blocks[bi] for g in per], axis=0)
             np.testing.assert_allclose(got.blocks[bi], want, rtol=1e-12, atol=1e-14)
@@ -268,7 +267,7 @@ class TestChunkedPass:
         p = random_params(spec, rng)
         batch = random_batch(spec, rng, size=n)
         loss, grad = full_gradient(spec, p, Dataset(batch.features, batch.labels, spec.classes))
-        rows = [Batch(batch.features[i : i + 1], batch.labels[i : i + 1]) for i in range(n)]
+        rows = [Dataset(batch.features[i : i + 1], batch.labels[i : i + 1], spec.classes) for i in range(n)]
         assert loss == pytest.approx(np.mean([forward_loss(spec, p, b) for b in rows]), rel=1e-12)
         want = np.mean([backward(spec, p, b).data for b in rows], axis=0)
         np.testing.assert_allclose(grad.data, want, rtol=1e-12, atol=1e-14)
