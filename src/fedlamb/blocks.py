@@ -99,11 +99,22 @@ def full_like(x: BlockVector, value: float) -> BlockVector:
     return BlockVector(x.layout, np.full(x.dim, float(value)))
 
 
+_DOT_CHUNK = 8192
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two 1-D arrays, summed over consecutive `_DOT_CHUNK`-float pieces in
+    order: OpenBLAS splits a longer dot across threads, which moves its bits."""
+    if a.size <= _DOT_CHUNK:
+        return a.dot(b)
+    return sum(a[lo : lo + _DOT_CHUNK].dot(b[lo : lo + _DOT_CHUNK]) for lo in range(0, a.size, _DOT_CHUNK))
+
+
 def block_norms(x: BlockVector) -> np.ndarray:
-    """Euclidean norm of every block, in block order: sqrt(b . b) per view,
-    the same dot np.linalg.norm takes. Not np.add.reduceat over the squares:
-    its pairwise summation moves the norms by ulps."""
-    return np.array([math.sqrt(b.dot(b)) for b in x.blocks])
+    """Euclidean norm of every block, in block order: sqrt(dot(b, b)) per view.
+    Not np.add.reduceat over the squares: its pairwise summation moves the
+    norms by ulps."""
+    return np.array([math.sqrt(dot(b, b)) for b in x.blocks])
 
 
 def ew_max(a: BlockVector, b: BlockVector) -> BlockVector:
@@ -150,4 +161,4 @@ def mean(xs: list[BlockVector]) -> BlockVector:
 
 def norm_sq(x: BlockVector) -> float:
     """Squared Euclidean norm over all coordinates, summed block by block."""
-    return float(sum(float(np.dot(b, b)) for b in x.blocks))
+    return float(sum(dot(b, b) for b in x.blocks))

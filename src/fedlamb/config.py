@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .federation import RunConfig
 from .models import ModelSpec
-from .optim import IDENTITY, Hyper, RangeError, ScalingFn, check_ranges, clipped, milestone_lr
+from .optim import IDENTITY, Hyper, RangeError, ScalingFn, check_ranges, clipped
 
 
 class ConfigError(ValueError):
@@ -48,7 +48,6 @@ class ExperimentConfig:
     reshard_each_round: bool = False
     # hyperparameters
     alpha: float = 0.01
-    eta_local: float = 0.0
     eta_global: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -80,25 +79,17 @@ class ExperimentConfig:
                 raise ConfigError(f"key '{key}': must be >= 1")
         if self.data == "blobs" and self.input_dim < self.classes:
             raise ConfigError("key 'input_dim': blobs need input_dim >= classes")
-        if self.protocol == "adp-fed" and not self.eta_local > 0:
-            raise ConfigError("key 'eta_local': must be > 0 for adp-fed")
         try:
             check_ranges(self, RunConfig.RULES)
             self.hyper()
             self.model_spec()
         except RangeError as exc:
             raise ConfigError(f"key {exc.key!r}: {exc}") from exc
-        try:
-            milestone_lr(1.0, 1, self.milestones, self.lr_factor)  # checks their order
-        except ValueError as exc:
-            raise ConfigError(f"key 'milestones': {exc}") from exc
         self.scaling_fn()  # validates phi syntax
         return self
 
     def hyper(self) -> Hyper:
-        """The engine's step hyperparameters; adp-fed's local rate is eta_local."""
-        alpha = self.eta_local if self.protocol == "adp-fed" else self.alpha
-        return Hyper(alpha=alpha, beta1=self.beta1, beta2=self.beta2, lam=self.lam, eps=self.eps)
+        return Hyper(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2, lam=self.lam, eps=self.eps)
 
     def model_spec(self) -> ModelSpec:
         hidden = self.hidden if self.model == "mlp" else ()

@@ -26,22 +26,28 @@ class DataFormatError(ValueError):
     """A data file failed to parse or validate."""
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Marks an array nothing else holds read-only, so a Dataset shares it."""
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (N, d)
     labels: np.ndarray    # (N,)
     classes: int
-    source: str = "memory"
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels))
+        # A writable array is the caller's and is copied, so the caller keeps write access;
+        # a read-only one (a slice of another set, or `_frozen`) is shared.
+        for name, dtype in (("features", np.float64), ("labels", None)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, _frozen(arr.copy()) if arr.flags.writeable else arr)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise DataFormatError("dataset needs at least one sample")
         if self.labels.shape != (self.features.shape[0],):
             raise DataFormatError("labels must match the number of samples")
-        self.features.flags.writeable = False
-        self.labels.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -68,12 +74,8 @@ class ClientShard:
         return self.indices.size
 
     def view(self, dataset: Dataset) -> Dataset:
-        return Dataset(
-            dataset.features[self.indices],
-            dataset.labels[self.indices],
-            dataset.classes,
-            source=f"{dataset.source}#client{self.client_id}",
-        )
+        idx = self.indices
+        return Dataset(_frozen(dataset.features[idx]), _frozen(dataset.labels[idx]), dataset.classes)
 
 
 def load_csv(path, d: int, k: int) -> Dataset:
@@ -108,7 +110,7 @@ def load_csv(path, d: int, k: int) -> Dataset:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
         raise DataFormatError(f"{path}:{lines[np.argmin(finite)]}: non-finite feature value")
-    return Dataset(features, np.array(labels, dtype=np.intp), k, source=str(path))
+    return Dataset(_frozen(features), _frozen(np.array(labels, dtype=np.intp)), k)
 
 
 def write_csv(dataset: Dataset, path):
@@ -139,7 +141,7 @@ def gen_blobs(
         block[:, c] += separation
         feats[c * per_class : (c + 1) * per_class] = block
         labels[c * per_class : (c + 1) * per_class] = c
-    return Dataset(feats, labels, k, source=f"blobs(k={k},d={d},seed={seed})")
+    return Dataset(_frozen(feats), _frozen(labels), k)
 
 
 def partition_iid(dataset: Dataset, n: int, seed: int, *stream: int) -> list[ClientShard]:
@@ -214,5 +216,6 @@ def minibatch_stream(
     batches = []
     for start in range(0, len(order), batch_size):
         sel = order[start : start + batch_size]
-        batches.append(Dataset(dataset.features[sel], dataset.labels[sel], dataset.classes))
+        batches.append(Dataset(_frozen(dataset.features[sel]), _frozen(dataset.labels[sel]),
+                               dataset.classes))
     return batches

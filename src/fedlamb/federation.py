@@ -101,6 +101,8 @@ class RunConfig:
         ("local_epochs", "must be >= 1", lambda c: c.local_epochs >= 1),
         ("batch_size", "must be >= 1", lambda c: c.batch_size >= 1),
         ("seed", "must be >= 0", lambda c: c.seed >= 0),
+        ("milestones", "must be strictly increasing",
+         lambda c: all(a < b for a, b in zip(c.milestones, c.milestones[1:]))),
         ("lr_factor", "must be > 0", lambda c: c.lr_factor > 0),
         ("momentum", "must be in [0, 1)", lambda c: 0 <= c.momentum < 1),
         ("eta_global", "must be > 0 for the adam server rule",
@@ -147,8 +149,7 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    client_id: int
-    shard: ClientShard
+    client_id: int                           # position of its shard in cfg.shards
     m: BlockVector | None = None             # carried first moment
     momentum_buf: BlockVector | None = None  # fed-sgd momentum
     vhat: BlockVector | None = None          # last received global v-hat
@@ -210,7 +211,7 @@ def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
         server.m, server.v = zeros, blocks.full_like(params, cfg.hyper.eps)
     m = zeros if proto.vhat else None
     buf = zeros if proto.local == "momentum_sgd" else None
-    clients = [ClientState(s.client_id, s, m, buf, server.vhat) for s in cfg.shards]
+    clients = [ClientState(i, m, buf, server.vhat) for i in range(cfg.n)]
     return server, clients
 
 
@@ -234,19 +235,19 @@ def lazy_sync_gate(r: int, Z: int) -> bool:
 def local_round(
     client: ClientState,
     theta_bar: BlockVector,
-    vhat: BlockVector | None,
     cfg: RunConfig,
     r: int,
     alpha_r: float,
 ) -> LocalResult:
     """One client's local training for round r: T epochs of the protocol's
-    local step rule from the broadcast model and v-hat. Returns exactly the
-    payloads the protocol uploads; carried buffers stay on the client."""
+    local step rule from the broadcast model and the client's v-hat. Returns
+    exactly the payloads the protocol uploads; carried buffers stay on the client."""
     proto = TABLE[cfg.protocol]
     T = cfg.local_epochs
+    shard, vhat = cfg.shards[client.client_id], client.vhat
     result = LocalResult(client_id=client.client_id, params=theta_bar)
     if "gradient" in proto.uplink:
-        shard_data = client.shard.view(cfg.train)
+        shard_data = shard.view(cfg.train)
         _, result.full_grad = full_gradient(cfg.spec, theta_bar, shard_data)
         result.grad_evals += shard_data.n
 
@@ -256,7 +257,7 @@ def local_round(
     step = 0
     for e in range(T):
         epoch_id = (r - 1) * T + e
-        for batch in minibatch_stream(cfg.train, client.shard, cfg.batch_size, epoch_id, cfg.seed):
+        for batch in minibatch_stream(cfg.train, shard, cfg.batch_size, epoch_id, cfg.seed):
             step += 1
             try:
                 g = backward(cfg.spec, s.view, batch)
@@ -395,7 +396,7 @@ def run_round(
                 clients[i].vhat = server.vhat
 
         alpha_r = milestone_lr(cfg.hyper.alpha, r, cfg.milestones, cfg.lr_factor)
-        results = [local_round(clients[i], server.params, clients[i].vhat, cfg, r, alpha_r) for i in ids]
+        results = [local_round(clients[i], server.params, cfg, r, alpha_r) for i in ids]
         results.sort(key=lambda res: res.client_id)
         getattr(server, proto.server)(results, cfg, gate)
         server.round_index = r

@@ -20,8 +20,8 @@ KINDS = ("linear-regression", "logistic", "mlp")
 ACTIVATIONS = ("relu", "tanh")
 
 _INIT_TAG = 0x11D1  # keys the parameter-init RNG stream
-# Rows per step of every sample-axis sum: OpenBLAS splits longer sums across
-# threads, so 512 rows already give thread-count-dependent bytes.
+# Terms per step of every sample-axis sum and matmul inner dimension: OpenBLAS
+# splits longer sums across threads, so 512 already give thread-count-dependent bytes.
 _CHUNK = 256
 
 
@@ -121,6 +121,15 @@ def _mlp_weights(spec: ModelSpec, params: BlockVector):
     return Ws, bs
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, its inner dimension summed over consecutive `_CHUNK`-long pieces
+    in order; an inner dimension of at most `_CHUNK` is one product."""
+    out = a[:, :_CHUNK] @ b[:_CHUNK]
+    for lo in range(_CHUNK, a.shape[1], _CHUNK):
+        out += a[:, lo : lo + _CHUNK] @ b[lo : lo + _CHUNK]
+    return out
+
+
 def _mlp_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
     """Returns (logits, input to each layer, weights); bias and activation
     are applied in place on each matmul's output."""
@@ -128,7 +137,7 @@ def _mlp_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
     acts = [X]
     h = X
     for i, (W, b) in enumerate(zip(Ws, bs), start=1):
-        z = h @ W
+        z = _matmul(h, W)
         z += b
         _check_finite(z, f"W{i}")
         if i < len(Ws):
@@ -151,7 +160,7 @@ def _forward(spec: ModelSpec, params: BlockVector, batch: Dataset):
         logits, acts, Ws = _mlp_forward(spec, params, batch.features)
         return _log_softmax(logits), logits, (acts, Ws)
     w, b = params.blocks
-    z = batch.features @ w + b[0]
+    z = _matmul(batch.features, w) + b[0]
     if spec.kind == "linear-regression":
         z -= batch.labels.astype(np.float64)
     _check_finite(z, "w")
@@ -188,7 +197,7 @@ def _gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, out, saved, 
             np.matmul(acts[i].T, delta, out=views[2 * i].reshape(Ws[i].shape))
             delta.sum(axis=0, out=views[2 * i + 1])
             if i > 0:
-                delta = delta @ Ws[i].T
+                delta = _matmul(delta, Ws[i].T)
                 if spec.activation == "relu":
                     np.multiply(delta, acts[i] > 0, out=delta)
                 else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
@@ -18,16 +18,15 @@ from .federation import RoundMetrics, RunConfig, init_run, run_round
 
 METRIC_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
-# Default learning-rate search grids per protocol; adp-fed crosses the
-# local grid with the global one.
+# Default local-rate (alpha) search grids per protocol; adp-fed crosses its
+# local grid with the global one (eta_global).
 DEFAULT_GRIDS = {
     "fed-sgd": [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
     "fed-lamb": [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
     "mime-lamb": [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
     "fed-ams": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
     "mime": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
-    "adp-fed-local": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005,
-                      0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
+    "adp-fed": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
     "adp-fed-global": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
 }
 
@@ -85,8 +84,6 @@ def run_single(cfg: ExperimentConfig, seed: int, log=None) -> list[RoundMetrics]
         if cfg.reshard_each_round:
             # keyed by (seed, round), so no two repeats' seeds share a round's shards
             run_cfg.shards = build_shards(cfg, run_cfg.train, seed, server.round_index + 1)
-            for client, shard in zip(clients, run_cfg.shards):
-                client.shard = shard
         metrics, _ = run_round(server, clients, run_cfg)
         history.append(metrics)
         if log is not None:
@@ -151,33 +148,22 @@ def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
 
 
 def grid_sweep(cfg: ExperimentConfig, grid=None, out_dir=None, log=None) -> list[dict]:
-    """Run the base config once per learning-rate value; returns rows
-    ranked by best test accuracy (descending)."""
+    """Run the base config once per local rate (alpha) in the grid; adp-fed's default
+    grid crosses each with a server rate (eta_global), an explicit one keeps the
+    config's. Returns rows ranked by best test accuracy (descending)."""
     out_dir = Path(out_dir or "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.protocol == "adp-fed":
-        if grid is None:
-            combos = [
-                (el, eg)
-                for el in DEFAULT_GRIDS["adp-fed-local"]
-                for eg in DEFAULT_GRIDS["adp-fed-global"]
-            ]
-        else:
-            combos = [(lr, cfg.eta_global) for lr in grid]
-    else:
-        combos = [(lr, None) for lr in (grid if grid is not None else DEFAULT_GRIDS[cfg.protocol])]
-    if not combos:
+    adp = cfg.protocol == "adp-fed"  # the one protocol with a server rate
+    lrs = DEFAULT_GRIDS[cfg.protocol] if grid is None else grid
+    egs = DEFAULT_GRIDS["adp-fed-global"] if adp and grid is None else [cfg.eta_global]
+    trials = [replace(cfg, alpha=lr, eta_global=eg) for lr in lrs for eg in egs]
+    if not trials:
         raise ConfigError("empty learning-rate grid")
 
     rows = []
-    for lr, eg in combos:
-        trial = ExperimentConfig(**vars(cfg))
-        tag = f"lr{lr:g}"
-        if cfg.protocol == "adp-fed":
-            trial.eta_local, trial.eta_global = lr, eg
-            tag = f"el{lr:g}_eg{eg:g}"
-        else:
-            trial.alpha = lr
+    for trial in trials:
+        lr, eg = trial.alpha, trial.eta_global if adp else None
+        tag = f"el{lr:g}_eg{eg:g}" if adp else f"lr{lr:g}"
         summary = run_experiment(trial, out=out_dir / f"{cfg.protocol}_{tag}.csv", log=log)
         rows.append({"lr": lr, "eta_global": eg, **summary})
     rows.sort(key=lambda row: -row["mean_best_test_accuracy"])
@@ -211,7 +197,7 @@ def compare_protocols(
         for key in ("data", "csv_train", "csv_test", "model", "input_dim", "hidden",
                     "classes", "activation", "seed", "rounds", "n_clients",
                     "train_per_class", "test_per_class", "separation", "noise",
-                    "iid", "classes_per_client"):
+                    "iid", "classes_per_client", "reshard_each_round"):
             if getattr(other, key) != getattr(base, key):
                 raise ConfigError(
                     f"compare requires matching data/model/seed; key {key!r} differs"

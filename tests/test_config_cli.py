@@ -138,7 +138,7 @@ class TestParseConfig:
         ("model = mlp\nclasses = 1", "classes"),
         ("noise = nan", "noise"),
         ("separation = inf", "separation"),
-        ("protocol = adp-fed\neta_local = 0.05\neta_global = inf", "eta_global"),
+        ("protocol = adp-fed\neta_global = inf", "eta_global"),
         ("eps = inf", "eps"),
         ("lr_factor = inf", "lr_factor"),
     ])
@@ -151,21 +151,23 @@ class TestParseConfig:
         # one out-of-range value per rule in RunConfig's list, on an adp-fed run so
         # that the eta_global rule applies: the file and the engine reject it by key
         bad = {"protocol": "bogus", "participation": 0, "lazy_period": 0, "local_epochs": 0,
-               "batch_size": 0, "seed": -1, "lr_factor": -1, "momentum": 1.5, "eta_global": -1}
-        text = MINIMAL.replace("fed-lamb", "adp-fed") + "eta_local = 0.05\neta_global = 0.05\n"
+               "batch_size": 0, "seed": -1, "lr_factor": -1, "momentum": 1.5, "eta_global": -1,
+               "milestones": (5, 2)}
+        text = MINIMAL.replace("fed-lamb", "adp-fed") + "alpha = 0.05\neta_global = 0.05\n"
         run_cfg = runner.build_run_config(parse_config(write(tmp_path, text)), seed=0)
         keys = [key for key, _, _ in RunConfig.RULES]
         assert sorted(keys) == sorted(bad)
         for key in keys:
+            value = ",".join(map(str, bad[key])) if isinstance(bad[key], tuple) else bad[key]
             with pytest.raises(ConfigError, match=f"key '{key}'"):
-                parse_config(write(tmp_path, text + f"{key} = {bad[key]}\n"))
+                parse_config(write(tmp_path, text + f"{key} = {value}\n"))
             with pytest.raises(RangeError) as info:
                 dataclasses.replace(run_cfg, **{key: bad[key]})
             assert info.value.key == key
 
     def test_adp_fed_requires_both_rates(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("fed-lamb", "adp-fed"))
-        with pytest.raises(ConfigError, match="eta_local"):
+        with pytest.raises(ConfigError, match="eta_global"):
             parse_config(path)
 
     def test_bad_phi_spec(self, tmp_path):
@@ -254,6 +256,41 @@ class TestGridSweep:
         with pytest.raises(ConfigError):
             grid_sweep(cfg, grid=[], out_dir=tmp_path / "sweep")
 
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        """Replaces runner.run_experiment; the list it returns gets each trial's
+        (config, metric file name)."""
+        seen = []
+
+        def record(cfg, out=None, log=None):
+            seen.append((cfg, Path(out).name))
+            return {"mean_best_test_accuracy": cfg.alpha, "stddev_best_test_accuracy": 0.0}
+
+        monkeypatch.setattr(runner, "run_experiment", record)
+        return seen
+
+    def test_adp_fed_explicit_grid_sweeps_alpha_at_the_config_global_rate(self, tmp_path, trials):
+        text = SMALL.replace("fed-lamb", "adp-fed").replace("alpha = 0.05", "alpha = 0.2")
+        cfg = parse_config(write(tmp_path, text + "eta_global = 0.02\n"))
+        rows = grid_sweep(cfg, grid=[0.05], out_dir=tmp_path / "sweep")
+        [(trial, name)] = trials
+        assert (trial.alpha, trial.eta_global) == (0.05, 0.02)
+        assert name == "adp-fed_el0.05_eg0.02.csv"
+        assert (rows[0]["lr"], rows[0]["eta_global"]) == (0.05, 0.02)
+
+    def test_adp_fed_default_grid_crosses_local_and_global_rates(self, tmp_path, trials):
+        cfg = parse_config(write(tmp_path, SMALL.replace("fed-lamb", "adp-fed") + "eta_global = 0.02\n"))
+        grid_sweep(cfg, out_dir=tmp_path / "sweep")
+        pairs = [(trial.alpha, trial.eta_global) for trial, _ in trials]
+        assert len(pairs) == len(set(pairs)) == 12 * 10
+        assert set(pairs) == {(a, g) for a in DEFAULT_GRIDS["adp-fed"] for g in DEFAULT_GRIDS["adp-fed-global"]}
+
+    def test_other_protocols_report_no_global_rate(self, tmp_path, trials):
+        cfg = parse_config(write(tmp_path, SMALL))
+        rows = grid_sweep(cfg, grid=[0.01, 0.05], out_dir=tmp_path / "sweep")
+        assert [row["eta_global"] for row in rows] == [None, None]
+        assert sorted(name for _, name in trials) == ["fed-lamb_lr0.01.csv", "fed-lamb_lr0.05.csv"]
+
 
 class TestCompare:
     def test_identical_configs_identical_columns(self, tmp_path):
@@ -276,6 +313,12 @@ class TestCompare:
         a = parse_config(write(tmp_path, SMALL))
         b = parse_config(write(tmp_path, SMALL + "noise = 9.0\n", name="b.cfg"))
         with pytest.raises(ConfigError, match="noise"):
+            compare_protocols([a, b])
+
+    def test_resharding_mismatch_rejected(self, tmp_path):
+        a = parse_config(write(tmp_path, SMALL))
+        b = parse_config(write(tmp_path, SMALL + "reshard_each_round = true\n", name="b.cfg"))
+        with pytest.raises(ConfigError, match="reshard_each_round"):
             compare_protocols([a, b])
 
     def test_table_file_layout(self, tmp_path):

@@ -247,3 +247,22 @@ class TestMinibatchStream:
     def test_empty_shard_rejected(self):
         with pytest.raises(PartitionError):
             ClientShard(0, np.array([], dtype=int))
+
+
+class TestDataset:
+    def test_caller_arrays_stay_writable(self):
+        X, y = np.zeros((3, 2)), np.array([0, 1, 0])
+        ds = Dataset(X, y, 2)
+        X[0, 0] = 1.0
+        y[0] = 1
+        assert ds.features[0, 0] == 0.0 and ds.labels[0] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = 1
+
+    def test_read_only_slices_are_shared_not_copied(self):
+        ds = gen_blobs(3, 4, per_class=10, separation=4.0, noise=1.0, seed=0)
+        chunk = Dataset(ds.features[:8], ds.labels[:8], ds.classes)
+        assert np.shares_memory(chunk.features, ds.features)
+        assert np.shares_memory(chunk.labels, ds.labels)

@@ -240,7 +240,7 @@ class TestLocalRound:
         )
         server, clients = init_run(cfg)
         theta0 = blocks.zeros_like(server.params)
-        res = local_round(clients[0], theta0, None, cfg, r=1, alpha_r=0.5)
+        res = local_round(clients[0], theta0, cfg, r=1, alpha_r=0.5)
         assert all(np.array_equal(a, b) for a, b in zip(res.params.blocks, theta0.blocks))
 
     def test_fed_lamb_displacement_law(self, lamb_displacements):
@@ -255,9 +255,9 @@ class TestLocalRound:
     def test_mime_reports_full_shard_gradient(self):
         cfg = make_cfg("mime", n=2, batch_size=8)
         server, clients = init_run(cfg)
-        res = local_round(clients[0], server.params, clients[0].vhat, cfg, 1, 0.01)
+        res = local_round(clients[0], server.params, cfg, 1, 0.01)
         from fedlamb.models import full_gradient
-        _, want = full_gradient(cfg.spec, server.params, clients[0].shard.view(cfg.train))
+        _, want = full_gradient(cfg.spec, server.params, cfg.shards[0].view(cfg.train))
         for a, b in zip(res.full_grad.blocks, want.blocks):
             np.testing.assert_array_equal(a, b)
 
@@ -427,8 +427,12 @@ class TestRunRound:
             assert all(np.array_equal(a, b) for a, b in zip(c.m.blocks, m0.blocks))
             assert all(np.array_equal(a, b) for a, b in zip(c.vhat.blocks, vhat0.blocks))
 
-    def test_errors_tagged_with_round(self):
-        cfg = make_cfg("fed-lamb", n=2, milestones=(5, 2))  # unsorted
+    def test_errors_tagged_with_round(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("bad milestones")
+
+        monkeypatch.setattr(federation, "milestone_lr", fail)
+        cfg = make_cfg("fed-lamb", n=2)
         server, clients = init_run(cfg)
         with pytest.raises(ValueError, match="round 1"):
             run_round(server, clients, cfg)

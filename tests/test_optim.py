@@ -214,10 +214,6 @@ class TestMilestoneLr:
     def test_two_passed(self):
         assert milestone_lr(0.1, 100, [30, 70], 0.1) == pytest.approx(0.001, rel=1e-15)
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            milestone_lr(0.1, 5, [70, 30], 0.1)
-
 
 class TestScalingFn:
     def test_identity(self):
