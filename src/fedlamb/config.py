@@ -77,6 +77,8 @@ class ExperimentConfig:
                     "train_per_class", "test_per_class"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"key '{key}': must be >= 1")
+        if self.data == "blobs" and self.classes < 2:
+            raise ConfigError("key 'classes': blobs need at least two classes")
         if self.data == "blobs" and self.input_dim < self.classes:
             raise ConfigError("key 'input_dim': blobs need input_dim >= classes")
         try:

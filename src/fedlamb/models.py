@@ -1,7 +1,8 @@
 """Small differentiable models with hand-written forward/backward passes.
 
-Three families: scalar linear regression (MSE), binary logistic regression
-and a softmax MLP (cross-entropy). Every parameter tensor is its own block,
+Every model is one stack of dense layers whose kind picks only the output
+head: scalar linear regression (MSE), binary logistic regression (one logit)
+or a softmax MLP (cross-entropy). Every parameter tensor is its own block,
 so the induced block structure is the unit of layer-wise normalization.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockVector
+from .blocks import BlockVector, Layout
 from .data import Dataset
 from .optim import check_ranges
 
@@ -50,18 +51,17 @@ class ModelSpec:
         ))
 
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.classes)
+        return (self.input_dim, *self.hidden, self.classes if self.kind == "mlp" else 1)
 
 
 def param_template(spec: ModelSpec) -> list[tuple[str, int, int]]:
-    """(name, size, fan_in) per block; fan_in 0 marks a bias block."""
-    if spec.kind in ("linear-regression", "logistic"):
-        return [("w", spec.input_dim, spec.input_dim), ("b", 1, 0)]
+    """(name, size, fan_in) per block; fan_in 0 marks a bias block. The linear
+    kinds' one layer is `w`, `b`; the MLP's layers are `W1`, `b1`, ..."""
     sizes = spec.layer_sizes()
     out = []
     for i, (fi, fo) in enumerate(zip(sizes, sizes[1:]), start=1):
-        out.append((f"W{i}", fi * fo, fi))
-        out.append((f"b{i}", fo, 0))
+        w, b = (f"W{i}", f"b{i}") if spec.kind == "mlp" else ("w", "b")
+        out += [(w, fi * fo, fi), (b, fo, 0)]
     return out
 
 
@@ -111,14 +111,10 @@ def _check_batch(spec: ModelSpec, params: BlockVector, batch: Dataset):
         raise ValueError(f"params {params.names} do not match spec blocks {names}")
 
 
-def _mlp_weights(spec: ModelSpec, params: BlockVector):
-    sizes = spec.layer_sizes()
-    Ws, bs = [], []
-    it = iter(params.blocks)
-    for fi, fo in zip(sizes, sizes[1:]):
-        Ws.append(next(it).reshape(fi, fo))
-        bs.append(next(it))
-    return Ws, bs
+def _layers(spec: ModelSpec, layout: Layout, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (W, b) views over `flat`, a vector in `layout`; W is (fan_in, fan_out)."""
+    sizes, s = spec.layer_sizes(), layout.slices
+    return [(flat[ws].reshape(fi, fo), flat[bs]) for ws, bs, fi, fo in zip(s[::2], s[1::2], sizes, sizes[1:])]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,20 +126,20 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mlp_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
-    """Returns (logits, input to each layer, weights); bias and activation
-    are applied in place on each matmul's output."""
-    Ws, bs = _mlp_weights(spec, params)
+def _stack_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
+    """Returns (output layer's z, input to each layer, (W, b) per layer); bias
+    and activation are applied in place on each matmul's output."""
+    layers = _layers(spec, params.layout, params.data)
     acts = [X]
     h = X
-    for i, (W, b) in enumerate(zip(Ws, bs), start=1):
+    for i, ((W, b), name) in enumerate(zip(layers, params.names[::2]), start=1):
         z = _matmul(h, W)
         z += b
-        _check_finite(z, f"W{i}")
-        if i < len(Ws):
+        _check_finite(z, name)
+        if i < len(layers):
             h = np.maximum(z, 0.0, out=z) if spec.activation == "relu" else np.tanh(z, out=z)
             acts.append(h)
-    return z, acts, Ws
+    return z, acts, layers
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,18 +149,16 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _forward(spec: ModelSpec, params: BlockVector, batch: Dataset):
     """One forward pass: (out, scores, saved). The loss and its gradient start
-    from `out` (residual, logit or log-probabilities), a class prediction from
-    `scores`; `saved` holds the MLP's layer inputs and weights."""
+    from the head's `out` (residual, logit or log-probabilities), a class
+    prediction from `scores`; `saved` holds the layer inputs and weights."""
     _check_batch(spec, params, batch)
+    z, acts, layers = _stack_forward(spec, params, batch.features)
     if spec.kind == "mlp":
-        logits, acts, Ws = _mlp_forward(spec, params, batch.features)
-        return _log_softmax(logits), logits, (acts, Ws)
-    w, b = params.blocks
-    z = _matmul(batch.features, w) + b[0]
+        return _log_softmax(z), z, (acts, layers)
+    z = z[:, 0]
     if spec.kind == "linear-regression":
         z -= batch.labels.astype(np.float64)
-    _check_finite(z, "w")
-    return z, z, None
+    return z, z, (acts, layers)
 
 
 def _loss_terms(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -178,30 +172,28 @@ def _loss_terms(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> np.ndar
 
 def _gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, out, saved, n: int, g: np.ndarray):
     """Writes into `g` the batch's share of the gradient of a mean loss over
-    `n` samples, from `_forward`'s `out` and `saved`."""
-    X = batch.features
-    views = [g[s] for s in params.layout.slices]
-    if spec.kind == "linear-regression":
-        np.multiply(2.0 / n, X.T @ out, out=views[0])
-        views[1][0] = 2.0 * (out.sum() / n)
-    elif spec.kind == "logistic":
-        err = _sigmoid(out) - batch.labels.astype(np.float64)
-        np.divide(X.T @ err, n, out=views[0])
-        views[1][0] = err.sum() / n
-    else:
-        acts, Ws = saved
+    `n` samples: the head's output delta from `_forward`'s `out`, then the
+    layers from last to first through `saved`."""
+    acts, layers = saved
+    if spec.kind == "mlp":
         delta = np.exp(out)
         delta[np.arange(batch.n), batch.labels.astype(np.intp)] -= 1.0
         delta /= n
-        for i in range(len(Ws) - 1, -1, -1):
-            np.matmul(acts[i].T, delta, out=views[2 * i].reshape(Ws[i].shape))
-            delta.sum(axis=0, out=views[2 * i + 1])
-            if i > 0:
-                delta = _matmul(delta, Ws[i].T)
-                if spec.activation == "relu":
-                    np.multiply(delta, acts[i] > 0, out=delta)
-                else:
-                    delta *= 1.0 - acts[i] * acts[i]
+    elif spec.kind == "logistic":
+        delta = ((_sigmoid(out) - batch.labels.astype(np.float64)) / n)[:, None]
+    else:
+        delta = (2.0 / n * out)[:, None]
+    grads = _layers(spec, params.layout, g)
+    for i in range(len(layers) - 1, -1, -1):
+        gW, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gW)
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = _matmul(delta, layers[i][0].T)
+            if spec.activation == "relu":
+                np.multiply(delta, acts[i] > 0, out=delta)
+            else:
+                delta *= 1.0 - acts[i] * acts[i]
 
 
 def _loss_and_gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, with_loss: bool):

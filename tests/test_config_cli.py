@@ -136,6 +136,7 @@ class TestParseConfig:
         ("classes = 5", "input_dim"),
         ("classes = 3", "classes"),
         ("model = mlp\nclasses = 1", "classes"),
+        ("model = linear-regression\nclasses = 1", "classes"),
         ("noise = nan", "noise"),
         ("separation = inf", "separation"),
         ("protocol = adp-fed\neta_global = inf", "eta_global"),

@@ -472,7 +472,7 @@ class TestRunRound:
             cfg = make_cfg(proto, n=3, batch_size=8)
             server, clients = init_run(cfg)
             seen = {"train": 0, "test": 0}
-            forward = models._mlp_forward
+            forward = models._stack_forward
 
             def counting(spec, params, X):
                 if X is cfg.train.features:
@@ -481,7 +481,7 @@ class TestRunRound:
                     seen["test"] += 1
                 return forward(spec, params, X)
 
-            monkeypatch.setattr(models, "_mlp_forward", counting)
+            monkeypatch.setattr(models, "_stack_forward", counting)
             run_round(server, clients, cfg)
             monkeypatch.undo()
             assert seen == {"train": 1, "test": 1}, proto

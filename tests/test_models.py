@@ -56,6 +56,13 @@ def test_spec_rules_name_the_config_key(kwargs, key):
     assert info.value.key == key
 
 
+@pytest.mark.parametrize("spec", [LINREG, LOGISTIC, MLP, MLP_TANH],
+                         ids=["linreg", "logistic", "mlp-relu", "mlp-tanh"])
+def test_layer_sizes_describe_the_built_model(spec):
+    sizes = spec.layer_sizes()
+    assert sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:])) == init_params(spec, 0).dim
+
+
 class TestInitParams:
     def test_deterministic(self):
         a = init_params(MLP, 42)
@@ -108,11 +115,15 @@ class TestForwardLoss:
             assert got >= 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_overflow_names_block(self):
-        p = BlockVector.of([("w", np.full(4, 1e300)), ("b", [0.0])])
-        batch = Dataset(np.full((2, 4), 1e300), np.array([0, 1]), 2)
-        with pytest.raises(NumericOverflowError, match="'w'"):
-            forward_loss(LOGISTIC, p, batch)
+    @pytest.mark.parametrize("spec, block", [(LOGISTIC, "w"), (LINREG, "w"), (MLP, "W1")],
+                             ids=["logistic", "linreg", "mlp"])
+    def test_overflow_names_block(self, spec, block):
+        # weights 1e300 and zero biases; the first layer's product overflows
+        p = BlockVector.of([(name, np.full(size, 1e300 if fan_in else 0.0))
+                            for name, size, fan_in in param_template(spec)])
+        batch = Dataset(np.full((2, spec.input_dim), 1e300), np.array([0, 1]), 2)
+        with pytest.raises(NumericOverflowError, match=f"'{block}'"):
+            forward_loss(spec, p, batch)
 
 
 class TestBackward:
@@ -244,8 +255,8 @@ class TestEvaluate:
         p = random_params(MLP, rng)
         ds = Dataset(rng.standard_normal((100, MLP.input_dim)), rng.integers(0, 4, 100), 4)
         acc, _ = evaluate(MLP, p, ds)
-        from fedlamb.models import _mlp_forward
-        logits, _, _ = _mlp_forward(MLP, p, ds.features)
+        from fedlamb.models import _stack_forward
+        logits, _, _ = _stack_forward(MLP, p, ds.features)
         correct = 0
         for i in range(100):
             best, best_v = 0, logits[i][0]
@@ -279,13 +290,13 @@ class TestChunkedPass:
         rng = np.random.default_rng(22)
         p = random_params(MLP, rng)
         batch = random_batch(MLP, rng, size=600)
-        seen, forward = [], models._mlp_forward
+        seen, forward = [], models._stack_forward
 
         def spy(spec, params, X):
             seen.append(X)
             return forward(spec, params, X)
 
-        monkeypatch.setattr(models, "_mlp_forward", spy)
+        monkeypatch.setattr(models, "_stack_forward", spy)
         full_gradient(MLP, p, Dataset(batch.features, batch.labels, MLP.classes))
         assert [len(X) for X in seen] == [256, 256, 88]
         assert np.array_equal(np.vstack(seen), batch.features)
