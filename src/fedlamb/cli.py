@@ -43,7 +43,8 @@ def run(config, seed, out, repeat, quiet):
         raise click.ClickException(str(exc))
     click.echo(
         f"best accuracy {summary['mean_best_test_accuracy']:.4f} "
-        f"(+/- {summary['stddev_best_test_accuracy']:.4f}) over {cfg.repeat} run(s)"
+        f"(+/- {summary['stddev_best_test_accuracy']:.4f}) over {cfg.repeat} run(s), "
+        f"final train loss {summary['mean_final_train_loss']:.6g}"
     )
 
 
@@ -66,7 +67,8 @@ def sweep(config, grid, seed, out, repeat):
         click.echo(
             f"lr={row['lr']:g} "
             + (f"eta_global={row['eta_global']:g} " if row["eta_global"] else "")
-            + f"best_acc={row['mean_best_test_accuracy']:.4f}"
+            + f"best_acc={row['mean_best_test_accuracy']:.4f} "
+            + f"final_loss={row['mean_final_train_loss']:.6g}"
         )
 
 

@@ -2,7 +2,9 @@
 
 One `key = value` pair per line; `#` at the start of a line or after
 whitespace starts a comment. Lists are comma-separated. The full schema
-with defaults is ExperimentConfig below and is documented in the README.
+with defaults is ExperimentConfig below: the keys only the file has, plus
+the run settings it shares with the engine, declared once in
+federation.RunSettings. The README documents every key.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .federation import RunConfig
+from .federation import RunSettings
 from .models import ModelSpec
-from .optim import IDENTITY, Hyper, RangeError, ScalingFn, check_ranges, clipped
+from .optim import IDENTITY, RangeError, ScalingFn, check_ranges, clipped
 
 
 class ConfigError(ValueError):
@@ -21,9 +23,8 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
-    # protocol and model
-    protocol: str = ""
+class ExperimentConfig(RunSettings):
+    # model
     model: str = "mlp"
     input_dim: int = 0
     hidden: tuple[int, ...] = (200,)
@@ -39,33 +40,19 @@ class ExperimentConfig:
     noise: float = 1.5
     # federation shape
     n_clients: int = 1
-    participation: float = 1.0
     rounds: int = 1
-    local_epochs: int = 1
-    batch_size: int = 64
     iid: bool = True
     classes_per_client: int = 2
     reshard_each_round: bool = False
-    # hyperparameters
-    alpha: float = 0.01
-    eta_global: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    lam: float = 0.0
-    eps: float = 1e-8
-    lazy_period: int = 1
-    milestones: tuple[int, ...] = ()
-    lr_factor: float = 0.1
-    momentum: float = 0.0
+    # layer-norm scaling: "identity" or "clipped:<lo>:<hi>"
     phi: str = "identity"
     # run control
-    seed: int = 0
     repeat: int = 1
     out: str = ""
 
     def validate(self):
-        """Checks the keys only the file has, then builds the engine's values,
-        whose own rules name any other key out of range."""
+        """Checks the keys only the file has, then applies the shared settings'
+        RULES and builds the model spec, whose rules name any other key out of range."""
         for key in _FLOAT_KEYS:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"key '{key}': must be finite")
@@ -82,16 +69,12 @@ class ExperimentConfig:
         if self.data == "blobs" and self.input_dim < self.classes:
             raise ConfigError("key 'input_dim': blobs need input_dim >= classes")
         try:
-            check_ranges(self, RunConfig.RULES)
-            self.hyper()
+            check_ranges(self, self.RULES)
             self.model_spec()
         except RangeError as exc:
             raise ConfigError(f"key {exc.key!r}: {exc}") from exc
         self.scaling_fn()  # validates phi syntax
         return self
-
-    def hyper(self) -> Hyper:
-        return Hyper(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2, lam=self.lam, eps=self.eps)
 
     def model_spec(self) -> ModelSpec:
         hidden = self.hidden if self.model == "mlp" else ()

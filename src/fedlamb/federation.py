@@ -23,7 +23,7 @@ from .data import ClientShard, Dataset, minibatch_stream
 # blocks.ratio_div and the metric pass only when it finds them under federation's names.
 from .models import ModelSpec, NumericOverflowError, backward, evaluate, forward_loss, full_gradient, init_params
 from .optim import (
-    IDENTITY, Hyper, ScalingFn, amsgrad_step, check_ranges, denominator, lamb_step, milestone_lr,
+    IDENTITY, ScalingFn, amsgrad_step, check_ranges, denominator, lamb_step, milestone_lr,
     moment_update, sgd_step,
 )
 
@@ -74,14 +74,17 @@ def _round_error(exc: Exception, r: int) -> RoundError:
 
 
 @dataclass
-class RunConfig:
-    protocol: str
-    spec: ModelSpec
-    train: Dataset
-    test: Dataset
-    shards: list[ClientShard]
-    hyper: Hyper
+class RunSettings:
+    """The run settings the config file and the engine share, each declared
+    once with its default and its range rule, under its config-file key."""
+
+    protocol: str = ""
+    alpha: float = 0.01       # the local rate of every protocol
     eta_global: float = 0.0   # the adam server rule's rate
+    beta1: float = 0.9
+    beta2: float = 0.999
+    lam: float = 0.0
+    eps: float = 1e-8
     local_epochs: int = 1
     batch_size: int = 64
     participation: float = 1.0
@@ -89,11 +92,10 @@ class RunConfig:
     lazy_period: int = 1
     milestones: tuple[int, ...] = ()
     lr_factor: float = 0.1
-    phi: ScalingFn = IDENTITY
     momentum: float = 0.0
 
-    # (key, rule, test) over the fields named as in the config file, whose
-    # parser checks the file's values with this same list
+    # (key, rule, test); RunConfig applies them when built, and the config
+    # parser to the file's values
     RULES = (
         ("protocol", f"must be one of {', '.join(TABLE)}", lambda c: c.protocol in TABLE),
         ("participation", "must be in (0, 1]", lambda c: 0 < c.participation <= 1),
@@ -107,7 +109,21 @@ class RunConfig:
         ("momentum", "must be in [0, 1)", lambda c: 0 <= c.momentum < 1),
         ("eta_global", "must be > 0 for the adam server rule",
          lambda c: TABLE[c.protocol].server != "adam" or c.eta_global > 0),
+        ("alpha", "must be positive", lambda c: c.alpha > 0),
+        ("beta1", "must be in [0, 1)", lambda c: 0 <= c.beta1 < 1),
+        ("beta2", "must be in [0, 1)", lambda c: 0 <= c.beta2 < 1),
+        ("lam", "must be in [0, 1]", lambda c: 0 <= c.lam <= 1),
+        ("eps", "must be positive", lambda c: c.eps > 0),
     )
+
+
+@dataclass(kw_only=True)
+class RunConfig(RunSettings):
+    spec: ModelSpec
+    train: Dataset
+    test: Dataset
+    shards: list[ClientShard]
+    phi: ScalingFn = IDENTITY
 
     def __post_init__(self):
         check_ranges(self, self.RULES)
@@ -133,7 +149,7 @@ class ServerState:
 
     def adam(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
         deltas = [lin_comb(1.0, res.params, -1.0, self.params) for res in results]
-        adp_fed_server_update(self, deltas, cfg.eta_global, cfg.hyper.beta1, cfg.hyper.beta2)
+        adp_fed_server_update(self, deltas, cfg.eta_global, cfg.beta1, cfg.beta2)
 
     def max_mean_v(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
         self.average(results, cfg, gate)
@@ -144,14 +160,13 @@ class ServerState:
         self.average(results, cfg, gate)
         if gate:
             grads = [res.full_grad for res in results]
-            self.v, self.vhat = mime_vhat_update(self.v, self.vhat, grads, cfg.hyper.beta2)
+            self.v, self.vhat = mime_vhat_update(self.v, self.vhat, grads, cfg.beta2)
 
 
 @dataclass
 class ClientState:
     client_id: int                           # position of its shard in cfg.shards
-    m: BlockVector | None = None             # carried first moment
-    momentum_buf: BlockVector | None = None  # fed-sgd momentum
+    m: BlockVector | None = None             # carried first moment (fed-sgd's momentum)
     vhat: BlockVector | None = None          # last received global v-hat
 
 
@@ -204,14 +219,13 @@ def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
     zeros = blocks.zeros_like(params)
     server = ServerState(params=params)
     if proto.vhat:
-        server.vhat = blocks.full_like(params, cfg.hyper.eps)
+        server.vhat = blocks.full_like(params, cfg.eps)
     if proto.server == "full_grad_v":
         server.v = zeros
     elif proto.server == "adam":
-        server.m, server.v = zeros, blocks.full_like(params, cfg.hyper.eps)
-    m = zeros if proto.vhat else None
-    buf = zeros if proto.local == "momentum_sgd" else None
-    clients = [ClientState(i, m, buf, server.vhat) for i in range(cfg.n)]
+        server.m, server.v = zeros, blocks.full_like(params, cfg.eps)
+    m = None if proto.local == "sgd" else zeros
+    clients = [ClientState(i, m, server.vhat) for i in range(cfg.n)]
     return server, clients
 
 
@@ -252,7 +266,7 @@ def local_round(
         result.grad_evals += shard_data.n
 
     v0 = vhat if "moment" in proto.uplink else None  # line "v0 = v-hat"
-    s = _LocalRound(cfg, alpha_r, theta_bar, client.m, v0, vhat, client.momentum_buf)
+    s = _LocalRound(cfg, alpha_r, theta_bar, client.m, v0, vhat)
     rule = getattr(_LocalRound, proto.local)
     step = 0
     for e in range(T):
@@ -268,8 +282,8 @@ def local_round(
             result.grad_evals += batch.n
             rule(s, g.data)
 
-    client.m, client.momentum_buf, result.params, result.v = (
-        None if a is None else BlockVector(s.layout, a) for a in (s.m, s.buf, s.theta, s.v))
+    client.m, result.params, result.v = (
+        None if a is None else BlockVector(s.layout, a) for a in (s.m, s.theta, s.v))
     return result
 
 
@@ -280,39 +294,39 @@ class _LocalRound:
     them into block vectors at round end. `view` is the read-only block vector
     over theta that backward reads within a step."""
 
-    def __init__(self, cfg, lr, theta_bar, m, v, vhat, buf):
+    def __init__(self, cfg, lr, theta_bar, m, v, vhat):
         self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
-        # the model, carried first moment, local second moment if uploaded, momentum buffer
-        self.theta, self.m, self.v, self.buf = (None if x is None else x.data.copy() for x in (theta_bar, m, v, buf))
+        # the model, carried first moment, local second moment if uploaded
+        self.theta, self.m, self.v = (None if x is None else x.data.copy() for x in (theta_bar, m, v))
         self.view = BlockVector(self.layout, self.theta.view())
-        # v-hat, copied where the client tracks v and may raise it, and the
-        # sqrt(max(v-hat, eps)) the adaptive steps divide by
-        self.vhat = None if vhat is None else vhat.data.copy() if v is not None else vhat.data
-        self.denom = None if vhat is None else denominator(self.vhat, cfg.hyper.eps, out=np.empty_like(self.theta))
+        # sqrt(max(v-hat, eps)), the scale the adaptive steps divide by
+        self.denom = None if vhat is None else denominator(vhat.data, cfg.eps, out=np.empty_like(self.theta))
         self.tmp, self.psi = np.empty_like(self.theta), np.empty_like(self.theta)
 
     def sgd(self, g: np.ndarray) -> None:
         sgd_step(self.theta, g, self.lr, tmp=self.tmp)
 
     def momentum_sgd(self, g: np.ndarray) -> None:
-        sgd_step(self.theta, g, self.lr, self.buf, self.cfg.momentum, tmp=self.tmp)
+        sgd_step(self.theta, g, self.lr, self.m, self.cfg.momentum, tmp=self.tmp)
 
     def amsgrad(self, g: np.ndarray) -> None:
         """Dimension-wise step. A client that tracks its own v steps against
-        the running cap max(v-hat, v) (fed-ams); otherwise against v-hat (mime)."""
-        h = self.cfg.hyper
-        moment_update(self.m, self.v, g, h.beta1, h.beta2, tmp=self.tmp)
+        the running cap max(v-hat, v) (fed-ams), kept as its denominator:
+        sqrt is monotone, so max(sqrt(max(a, eps)), sqrt(max(b, eps))) is
+        sqrt(max(max(a, b), eps)) bit for bit. Otherwise it steps against
+        v-hat (mime)."""
+        c = self.cfg
+        moment_update(self.m, self.v, g, c.beta1, c.beta2, tmp=self.tmp)
         if self.v is not None:
-            np.maximum(self.vhat, self.v, out=self.vhat)
-            denominator(self.vhat, h.eps, out=self.denom)
+            np.maximum(self.denom, denominator(self.v, c.eps, out=self.tmp), out=self.denom)
         amsgrad_step(self.theta, self.m, self.denom, self.lr, tmp=self.tmp)
 
     def lamb(self, g: np.ndarray) -> None:
         """Layer-wise trust-ratio step against v-hat, frozen for the round."""
-        h = self.cfg.hyper
-        moment_update(self.m, self.v, g, h.beta1, h.beta2, tmp=self.tmp)
+        c = self.cfg
+        moment_update(self.m, self.v, g, c.beta1, c.beta2, tmp=self.tmp)
         np.divide(self.m, self.denom, out=self.psi)
-        lamb_step(self.theta, self.psi, self.lr, h.lam, self.cfg.phi, layout=self.layout, tmp=self.tmp)
+        lamb_step(self.theta, self.psi, self.lr, c.lam, c.phi, layout=self.layout, tmp=self.tmp)
 
 
 def aggregate_params(received: list[BlockVector]) -> BlockVector:
@@ -395,7 +409,7 @@ def run_round(
             for i in ids:
                 clients[i].vhat = server.vhat
 
-        alpha_r = milestone_lr(cfg.hyper.alpha, r, cfg.milestones, cfg.lr_factor)
+        alpha_r = milestone_lr(cfg.alpha, r, cfg.milestones, cfg.lr_factor)
         results = [local_round(clients[i], server.params, cfg, r, alpha_r) for i in ids]
         results.sort(key=lambda res: res.client_id)
         getattr(server, proto.server)(results, cfg, gate)

@@ -39,24 +39,6 @@ def check_ranges(obj, rules) -> None:
 
 
 @dataclass(frozen=True)
-class Hyper:
-    alpha: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    lam: float = 0.0
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        check_ranges(self, (
-            ("alpha", "must be positive", lambda h: h.alpha > 0),
-            ("beta1", "must be in [0, 1)", lambda h: 0 <= h.beta1 < 1),
-            ("beta2", "must be in [0, 1)", lambda h: 0 <= h.beta2 < 1),
-            ("lam", "must be in [0, 1]", lambda h: 0 <= h.lam <= 1),
-            ("eps", "must be positive", lambda h: h.eps > 0),
-        ))
-
-
-@dataclass(frozen=True)
 class ScalingFn:
     """Layer-norm scaling phi; identity in practice, clipped variant for
     testing the bounded-scaling regime."""

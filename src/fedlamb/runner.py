@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
 from .data import Dataset, gen_blobs, load_csv, partition_iid, partition_label_shards
-from .federation import RoundMetrics, RunConfig, init_run, run_round
+from .federation import RoundMetrics, RunConfig, RunSettings, init_run, run_round
 
 METRIC_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
@@ -55,23 +55,14 @@ def build_shards(cfg: ExperimentConfig, train: Dataset, seed: int, *stream: int)
 
 def build_run_config(cfg: ExperimentConfig, seed: int) -> RunConfig:
     train, test = build_datasets(cfg, seed)
+    settings = {f.name: getattr(cfg, f.name) for f in fields(RunSettings)}
     return RunConfig(
-        protocol=cfg.protocol,
+        **{**settings, "seed": seed},
         spec=cfg.model_spec(),
         train=train,
         test=test,
         shards=build_shards(cfg, train, seed),
-        hyper=cfg.hyper(),
-        eta_global=cfg.eta_global,
-        local_epochs=cfg.local_epochs,
-        batch_size=cfg.batch_size,
-        participation=cfg.participation,
-        seed=seed,
-        lazy_period=cfg.lazy_period,
-        milestones=cfg.milestones,
-        lr_factor=cfg.lr_factor,
         phi=cfg.scaling_fn(),
-        momentum=cfg.momentum,
     )
 
 
@@ -111,6 +102,7 @@ def summarize(history: list[RoundMetrics]) -> dict:
         "best_test_accuracy": best.test_accuracy,
         "best_round": best.round,
         "final_test_accuracy": history[-1].test_accuracy,
+        "final_train_loss": history[-1].train_loss,
         "final_grad_norm_sq": history[-1].grad_norm_sq,
         "total_uplink_floats": sum(m.uplink_floats for m in history),
         "total_downlink_floats": sum(m.downlink_floats for m in history),
@@ -139,6 +131,7 @@ def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
         "stddev_best_test_accuracy": (
             statistics.stdev(best_accs) if len(best_accs) > 1 else 0.0
         ),
+        "mean_final_train_loss": statistics.fmean(s["final_train_loss"] for s in summaries),
         **summaries[0],
     }
     with open(out.with_suffix(out.suffix + ".summary.txt"), "w", encoding="utf-8") as fh:
@@ -150,7 +143,9 @@ def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
 def grid_sweep(cfg: ExperimentConfig, grid=None, out_dir=None, log=None) -> list[dict]:
     """Run the base config once per local rate (alpha) in the grid; adp-fed's default
     grid crosses each with a server rate (eta_global), an explicit one keeps the
-    config's. Returns rows ranked by best test accuracy (descending)."""
+    config's. Returns rows ranked by best test accuracy (descending), then by
+    final train loss: linear regression's accuracy is always 0, so its
+    sweeps rank on the loss alone."""
     out_dir = Path(out_dir or "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     adp = cfg.protocol == "adp-fed"  # the one protocol with a server rate
@@ -166,16 +161,14 @@ def grid_sweep(cfg: ExperimentConfig, grid=None, out_dir=None, log=None) -> list
         tag = f"el{lr:g}_eg{eg:g}" if adp else f"lr{lr:g}"
         summary = run_experiment(trial, out=out_dir / f"{cfg.protocol}_{tag}.csv", log=log)
         rows.append({"lr": lr, "eta_global": eg, **summary})
-    rows.sort(key=lambda row: -row["mean_best_test_accuracy"])
+    rows.sort(key=lambda row: (-row["mean_best_test_accuracy"], row["mean_final_train_loss"]))
     report = out_dir / f"{cfg.protocol}_sweep.csv"
+    columns = ("lr", "eta_global", "mean_best_test_accuracy", "stddev_best_test_accuracy",
+               "mean_final_train_loss")
     with open(report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lr,eta_global,mean_best_test_accuracy,stddev_best_test_accuracy\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(
-                f"{row['lr']!r},{row['eta_global']!r},"
-                f"{row['mean_best_test_accuracy']!r},"
-                f"{row['stddev_best_test_accuracy']!r}\n"
-            )
+            fh.write(",".join(repr(row[key]) for key in columns) + "\n")
     return rows
 
 

@@ -26,7 +26,7 @@ from fedlamb.federation import (
     sample_clients,
 )
 from fedlamb.models import ModelSpec, backward, forward_loss, param_template
-from fedlamb.optim import Hyper, IDENTITY, amsgrad_step, denominator, lamb_step, moment_update, sgd_step
+from fedlamb.optim import IDENTITY, amsgrad_step, denominator, lamb_step, moment_update, sgd_step
 from fedlamb.runner import run_experiment, run_single, rounds_to_target
 
 import oracles
@@ -60,7 +60,7 @@ def small_run_config(protocol, n=3, seed=0, **kw):
     shards = partition_iid(train, n, seed=seed)
     defaults = dict(
         protocol=protocol, spec=SMALL_SPEC, train=train, test=test, shards=shards,
-        hyper=Hyper(alpha=0.05), batch_size=8, seed=seed,
+        alpha=0.05, batch_size=8, seed=seed,
     )
     defaults.update(kw)
     return RunConfig(**defaults)
@@ -186,22 +186,21 @@ def test_criterion_4_reduction_identity():
     for protocol in ("fed-lamb", "fed-ams"):
         cfg = RunConfig(
             protocol=protocol, spec=SMALL_SPEC, train=train, test=test,
-            shards=[shard], hyper=Hyper(alpha=0.01), batch_size=10_000,
+            shards=[shard], alpha=0.01, batch_size=10_000,
             local_epochs=1, seed=44,
         )
         batch_seq = []
         for r in range(1, 101):
             batch_seq.extend(minibatch_stream(train, shard, cfg.batch_size, r - 1, cfg.seed))
         server, clients = init_run(cfg)
-        h = cfg.hyper
         if protocol == "fed-lamb":
             want = oracles.reference_lamb_single(
-                cfg.spec, server.params, batch_seq, h.alpha, h.beta1, h.beta2,
-                h.lam, h.eps, lambda a: a,
+                cfg.spec, server.params, batch_seq, cfg.alpha, cfg.beta1, cfg.beta2,
+                cfg.lam, cfg.eps, lambda a: a,
             )
         else:
             want = oracles.reference_amsgrad_single(
-                cfg.spec, server.params, batch_seq, h.alpha, h.beta1, h.beta2, h.eps
+                cfg.spec, server.params, batch_seq, cfg.alpha, cfg.beta1, cfg.beta2, cfg.eps
             )
         for step in range(len(batch_seq)):
             run_round(server, clients, cfg)
@@ -223,7 +222,7 @@ def test_criterion_5_vhat_monotonicity():
             run_round(server, clients, cfg)
             for a, b in zip(server.vhat.blocks, prev.blocks):
                 assert np.all(a >= b), protocol
-                assert np.all(a >= cfg.hyper.eps), protocol
+                assert np.all(a >= cfg.eps), protocol
             prev = server.vhat
     elapsed = time.monotonic() - t0
     assert elapsed < 60
@@ -290,7 +289,7 @@ def test_criterion_7_zero_heterogeneity_consensus(uploaded_params):
         kw = dict(eta_global=0.05) if protocol == "adp-fed" else {}
         cfg = RunConfig(
             protocol=protocol, spec=SMALL_SPEC, train=train, test=test,
-            shards=shards, hyper=Hyper(alpha=0.05), batch_size=10_000, seed=77, **kw,
+            shards=shards, alpha=0.05, batch_size=10_000, seed=77, **kw,
         )
         server, clients = init_run(cfg)
         for _ in range(3):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fedlamb import runner
 from fedlamb.cli import main
 from fedlamb.config import ConfigError, ExperimentConfig, parse_config, write_config
-from fedlamb.federation import RoundMetrics, RunConfig
+from fedlamb.federation import RoundMetrics, RunConfig, RunSettings
 from fedlamb.optim import RangeError
 from fedlamb.runner import (
     DEFAULT_GRIDS,
@@ -153,7 +153,7 @@ class TestParseConfig:
         # that the eta_global rule applies: the file and the engine reject it by key
         bad = {"protocol": "bogus", "participation": 0, "lazy_period": 0, "local_epochs": 0,
                "batch_size": 0, "seed": -1, "lr_factor": -1, "momentum": 1.5, "eta_global": -1,
-               "milestones": (5, 2)}
+               "milestones": (5, 2), "alpha": 0, "beta1": 1.0, "beta2": 1.0, "lam": 1.5, "eps": 0}
         text = MINIMAL.replace("fed-lamb", "adp-fed") + "alpha = 0.05\neta_global = 0.05\n"
         run_cfg = runner.build_run_config(parse_config(write(tmp_path, text)), seed=0)
         keys = [key for key, _, _ in RunConfig.RULES]
@@ -165,6 +165,13 @@ class TestParseConfig:
             with pytest.raises(RangeError) as info:
                 dataclasses.replace(run_cfg, **{key: bad[key]})
             assert info.value.key == key
+
+    def test_shared_settings_declared_once(self):
+        # a setting both the file and the engine have is a RunSettings field, so its
+        # type and default are written once; phi alone differs: the file's string
+        # spec becomes the engine's ScalingFn
+        names = [{f.name for f in dataclasses.fields(c)} for c in (ExperimentConfig, RunConfig, RunSettings)]
+        assert (names[0] & names[1]) - names[2] == {"phi"}
 
     def test_adp_fed_requires_both_rates(self, tmp_path):
         path = write(tmp_path, MINIMAL.replace("fed-lamb", "adp-fed"))
@@ -252,6 +259,17 @@ class TestGridSweep:
         top = float(report[1].split(",")[2])
         assert top == max(accs)
 
+    def test_equal_accuracy_ranked_by_final_train_loss(self, tmp_path):
+        # linear regression scores accuracy 0 at every rate, so the loss ranks them
+        cfg = parse_config(write(tmp_path, SMALL.replace("logistic", "linear-regression")))
+        rows = grid_sweep(cfg, grid=[0.3, 0.001], out_dir=tmp_path / "sweep")
+        assert [row["mean_best_test_accuracy"] for row in rows] == [0.0, 0.0]
+        assert [row["lr"] for row in rows] == [0.001, 0.3]
+        losses = [row["mean_final_train_loss"] for row in rows]
+        assert losses[0] < losses[1]
+        report = (tmp_path / "sweep" / "fed-lamb_sweep.csv").read_text().splitlines()
+        assert [float(line.split(",")[4]) for line in report[1:]] == losses
+
     def test_empty_grid_rejected(self, tmp_path):
         cfg = parse_config(write(tmp_path, SMALL))
         with pytest.raises(ConfigError):
@@ -265,7 +283,8 @@ class TestGridSweep:
 
         def record(cfg, out=None, log=None):
             seen.append((cfg, Path(out).name))
-            return {"mean_best_test_accuracy": cfg.alpha, "stddev_best_test_accuracy": 0.0}
+            return {"mean_best_test_accuracy": cfg.alpha, "stddev_best_test_accuracy": 0.0,
+                    "mean_final_train_loss": 0.0}
 
         monkeypatch.setattr(runner, "run_experiment", record)
         return seen

@@ -10,7 +10,6 @@ from fedlamb import blocks, federation, models
 from fedlamb.blocks import BlockVector, lin_comb, norm_sq
 from fedlamb.data import ClientShard, Dataset, gen_blobs, minibatch_stream, partition_iid
 from fedlamb.federation import (
-    ADAPTIVE,
     PROTOCOLS,
     TABLE,
     ProtocolError,
@@ -29,7 +28,7 @@ from fedlamb.federation import (
     sample_clients,
 )
 from fedlamb.models import ModelSpec, backward, forward_loss
-from fedlamb.optim import Hyper, clipped
+from fedlamb.optim import clipped
 
 import oracles
 
@@ -61,7 +60,7 @@ def make_cfg(protocol, n=4, seed=0, rounds_data_seed=0, **kw):
         train=train,
         test=test,
         shards=shards,
-        hyper=Hyper(alpha=0.05),
+        alpha=0.05,
         local_epochs=1,
         batch_size=16,
         seed=seed,
@@ -207,7 +206,7 @@ class TestAdpFedServer:
         server, clients = init_run(cfg)
         theta = [np.array(b) for b in server.params.blocks]
         m = [np.zeros_like(b) for b in theta]
-        v = [np.full_like(b, cfg.hyper.eps) for b in theta]
+        v = [np.full_like(b, cfg.eps) for b in theta]
         for r in (1, 2):
             deltas = []
             for shard in cfg.shards:
@@ -217,10 +216,10 @@ class TestAdpFedServer:
                     for batch in minibatch_stream(cfg.train, shard, cfg.batch_size, epoch, cfg.seed):
                         cur = BlockVector.of(zip(server.params.names, (np.array(b) for b in local)))
                         g = backward(cfg.spec, cur, batch)
-                        local = [p - cfg.hyper.alpha * gb for p, gb in zip(local, g.blocks)]
+                        local = [p - cfg.alpha * gb for p, gb in zip(local, g.blocks)]
                 deltas.append([p - t for p, t in zip(local, theta)])
             dbar = [np.mean([d[i] for d in deltas], axis=0) for i in range(len(theta))]
-            b1, b2 = cfg.hyper.beta1, cfg.hyper.beta2
+            b1, b2 = cfg.beta1, cfg.beta2
             m = [b1 * mm + (1 - b1) * db for mm, db in zip(m, dbar)]
             v = [b2 * vv + (1 - b2) * db * db for vv, db in zip(v, dbar)]
             theta = [t + cfg.eta_global * mm / np.sqrt(vv) for t, mm, vv in zip(theta, m, v)]
@@ -236,7 +235,7 @@ class TestLocalRound:
         shard = ClientShard(0, np.arange(8))
         cfg = RunConfig(
             protocol="fed-sgd", spec=spec, train=train, test=train,
-            shards=[shard], hyper=Hyper(alpha=0.5), batch_size=8, seed=0,
+            shards=[shard], alpha=0.5, batch_size=8, seed=0,
         )
         server, clients = init_run(cfg)
         theta0 = blocks.zeros_like(server.params)
@@ -293,7 +292,7 @@ class TestLazySync:
         server, clients = init_run(cfg)
         run_round(server, clients, cfg)  # r=1, gate closed
         run_round(server, clients, cfg)  # r=2, gate closed
-        eps = cfg.hyper.eps
+        eps = cfg.eps
         for c in clients:
             assert all(np.all(b == eps) for b in c.vhat.blocks)
         run_round(server, clients, cfg)  # r=3, gate open
@@ -345,7 +344,7 @@ class TestRunRound:
             kw = dict(eta_global=0.05) if proto == "adp-fed" else {}
             cfg = RunConfig(
                 protocol=proto, spec=SPEC, train=train, test=test, shards=shards,
-                hyper=Hyper(alpha=0.05), batch_size=10_000, seed=0, **kw,
+                alpha=0.05, batch_size=10_000, seed=0, **kw,
             )
             server, clients = init_run(cfg)
             for _ in range(3):
@@ -359,7 +358,7 @@ class TestRunRound:
         phi = clipped(0.5, 1.0)
         alpha = 0.05
         cfg = make_cfg("fed-lamb", n=4, batch_size=10_000, phi=phi,
-                       hyper=Hyper(alpha=alpha))
+                       alpha=alpha)
         server, clients = init_run(cfg)
         # start from a point with no zero-norm blocks so every block obeys
         # the trust-ratio displacement law (zero-norm blocks fall back to an
@@ -408,7 +407,7 @@ class TestRunRound:
                 run_round(server, clients, cfg)
                 for a, b in zip(server.vhat.blocks, prev.blocks):
                     assert np.all(a >= b)
-                    assert np.all(a >= cfg.hyper.eps)
+                    assert np.all(a >= cfg.eps)
                 prev = server.vhat
 
     def test_unsampled_client_state_untouched(self):
@@ -500,9 +499,8 @@ class TestRunRound:
             server, clients = init_run(make_cfg(proto, n=3))
             for c in clients:
                 assert c.vhat is server.vhat
-                assert (c.m is not None) == (proto in ADAPTIVE)
-                assert (c.momentum_buf is not None) == (proto == "fed-sgd")
-            bufs = [b for c in clients for b in (c.m, c.momentum_buf) if b is not None]
+                assert (c.m is not None) == (proto != "adp-fed")
+            bufs = [c.m for c in clients if c.m is not None]
             assert len({id(b) for b in bufs}) == (0 if proto == "adp-fed" else 1)
             assert all(np.all(x == 0.0) for b in bufs for x in b.blocks)
 
@@ -538,7 +536,7 @@ class TestRunRound:
 
     def test_uploads_match_ledger_and_clients_keep_their_buffers(self, monkeypatch):
         def held(client):
-            return {k for k in ("m", "momentum_buf", "vhat") if getattr(client, k) is not None}
+            return {k for k in ("m", "vhat") if getattr(client, k) is not None}
 
         local = federation.local_round
         for proto in TABLE:
@@ -556,7 +554,7 @@ class TestRunRound:
                 assert (res.v is not None) == (comm.uplink_moment > 0), proto
                 assert (res.full_grad is not None) == (comm.uplink_gradient > 0), proto
             assert [held(c) for c in clients] == given, proto
-            assert all((c.momentum_buf is not None) == (proto == "fed-sgd") for c in clients), proto
+            assert all((c.m is not None) == (proto != "adp-fed") for c in clients), proto
 
     @pytest.mark.parametrize("order", (1, -1))
     @pytest.mark.parametrize("proto", list(TABLE))
@@ -570,15 +568,15 @@ class TestRunRound:
         monkeypatch.setattr(
             federation, "local_round", lambda *args: uploads.append(local(*args)) or uploads[-1]
         )
-        cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, hyper=Hyper(alpha=0.05, lam=0.01))
+        cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, alpha=0.05, lam=0.01)
         server, clients = init_run(cfg)
-        watched = [b for c in clients for b in (c.m, c.momentum_buf, c.vhat) if b is not None]
+        watched = [b for c in clients for b in (c.m, c.vhat) if b is not None]
         for r in range(1, 5):
             sampled = set(ascending(cfg.n, cfg.participation, r, cfg.seed).tolist())
             watched += [x for x in (server.params, server.vhat) if x is not None]
             watched += [res.params for res in uploads]
             watched += [b for c in clients if c.client_id not in sampled
-                        for b in (c.m, c.momentum_buf, c.vhat) if b is not None]
+                        for b in (c.m, c.vhat) if b is not None]
             bits = [(x, x.data.tobytes()) for x in watched]
             run_round(server, clients, cfg)
             assert all(x.data.tobytes() == b for x, b in bits), (proto, r)
@@ -605,7 +603,7 @@ class TestReductionIdentity:
         shard = ClientShard(0, np.arange(train.n))
         cfg = RunConfig(
             protocol=protocol, spec=SPEC, train=train, test=test, shards=[shard],
-            hyper=Hyper(alpha=0.01), batch_size=10_000, local_epochs=1, seed=9,
+            alpha=0.01, batch_size=10_000, local_epochs=1, seed=9,
         )
         batch_seq = []
         for r in range(1, rounds + 1):
@@ -616,9 +614,8 @@ class TestReductionIdentity:
         cfg, batch_seq = self._setup("fed-lamb")
         server, clients = init_run(cfg)
         params0 = server.params
-        h = cfg.hyper
         want = oracles.reference_lamb_single(
-            cfg.spec, params0, batch_seq, h.alpha, h.beta1, h.beta2, h.lam, h.eps,
+            cfg.spec, params0, batch_seq, cfg.alpha, cfg.beta1, cfg.beta2, cfg.lam, cfg.eps,
             lambda a: a,
         )
         for step in range(len(batch_seq)):
@@ -629,9 +626,8 @@ class TestReductionIdentity:
     def test_fed_ams_matches_single_machine(self):
         cfg, batch_seq = self._setup("fed-ams")
         server, clients = init_run(cfg)
-        h = cfg.hyper
         want = oracles.reference_amsgrad_single(
-            cfg.spec, server.params, batch_seq, h.alpha, h.beta1, h.beta2, h.eps
+            cfg.spec, server.params, batch_seq, cfg.alpha, cfg.beta1, cfg.beta2, cfg.eps
         )
         for step in range(len(batch_seq)):
             run_round(server, clients, cfg)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fedlamb.blocks import BlockVector, zeros_like
+from fedlamb.federation import RunSettings
 from fedlamb.optim import (
     IDENTITY,
-    Hyper,
+    RangeError,
     amsgrad_step,
+    check_ranges,
     clipped,
     denominator,
     lamb_step,
@@ -36,9 +38,9 @@ def sgd(p, g, alpha, buf=None, mu=0.0):
     return BlockVector(p.layout, theta), None if buf is None else BlockVector(p.layout, buf)
 
 
-def moments(m, v, g, hyper):
+def moments(m, v, g, beta1=0.9, beta2=0.999):
     m, v = m.data.copy(), v.data.copy()
-    moment_update(m, v, g.data, hyper.beta1, hyper.beta2, tmp=np.empty(m.size))
+    moment_update(m, v, g.data, beta1, beta2, tmp=np.empty(m.size))
     return BlockVector(g.layout, m), BlockVector(g.layout, v)
 
 
@@ -80,26 +82,25 @@ class TestSgdStep:
 class TestMomentUpdate:
     def test_zero_init_step(self):
         p = bv(("a", [0.0]))
-        m, v = moments(zeros_like(p), zeros_like(p), bv(("a", [1.0])), Hyper(alpha=0.1))
+        m, v = moments(zeros_like(p), zeros_like(p), bv(("a", [1.0])))
         assert m.blocks[0][0] == pytest.approx(0.1, rel=1e-15)
         assert v.blocks[0][0] == pytest.approx(0.001, rel=1e-12)
 
     def test_pure_decay(self):
         m0 = bv(("a", [1.0, 2.0]))
         v0 = bv(("a", [3.0, 4.0]))
-        m, v = moments(m0, v0, zeros_like(m0), Hyper(alpha=1.0))
+        m, v = moments(m0, v0, zeros_like(m0))
         np.testing.assert_allclose(m.blocks[0], 0.9 * m0.blocks[0], rtol=1e-15)
         np.testing.assert_allclose(v.blocks[0], 0.999 * v0.blocks[0], rtol=1e-15)
 
     def test_matches_scalar_recursion(self):
         rng = np.random.default_rng(1)
         p = random_bv(rng)
-        hyper = Hyper(alpha=0.1, beta1=0.8, beta2=0.95)
         m, v = zeros_like(p), zeros_like(p)
         om, ov = oracles.to_lists(m), oracles.to_lists(v)
         for _ in range(5):
             g = random_bv(rng)
-            m, v = moments(m, v, g, hyper)
+            m, v = moments(m, v, g, 0.8, 0.95)
             om, ov = oracles.o_moment_update(om, ov, oracles.to_lists(g), 0.8, 0.95)
         oracles.assert_close(oracles.to_lists(m), om, label="m")
         oracles.assert_close(oracles.to_lists(v), ov, label="v")
@@ -109,7 +110,7 @@ class TestMomentUpdate:
         p = random_bv(rng)
         m, v = zeros_like(p), zeros_like(p)
         for _ in range(30):
-            m, v = moments(m, v, random_bv(rng), Hyper(alpha=0.1))
+            m, v = moments(m, v, random_bv(rng))
             assert all(np.all(b >= 0) for b in v.blocks)
 
     def test_untracked_v_updates_m_only(self):
@@ -232,11 +233,10 @@ class TestScalingFn:
 
 class TestHyper:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Hyper(alpha=0.0)
-        with pytest.raises(ValueError):
-            Hyper(alpha=0.1, beta1=1.0)
-        with pytest.raises(ValueError):
-            Hyper(alpha=0.1, lam=1.5)
-        with pytest.raises(ValueError):
-            Hyper(alpha=0.1, eps=0.0)
+        # the step hyperparameters' rules live on RunSettings; each bad value is
+        # rejected under its own key
+        for bad in ({"alpha": 0.0}, {"beta1": 1.0}, {"lam": 1.5}, {"eps": 0.0}):
+            with pytest.raises(RangeError) as info:
+                check_ranges(RunSettings(protocol="fed-lamb", **bad), RunSettings.RULES)
+            assert info.value.key == next(iter(bad))
+        check_ranges(RunSettings(protocol="fed-lamb"), RunSettings.RULES)
