@@ -102,12 +102,18 @@ def full_like(x: BlockVector, value: float) -> BlockVector:
 _DOT_CHUNK = 8192
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two 1-D arrays, summed over consecutive `_DOT_CHUNK`-float pieces in
-    order: OpenBLAS splits a longer dot across threads, which moves its bits."""
-    if a.size <= _DOT_CHUNK:
-        return a.dot(b)
-    return sum(a[lo : lo + _DOT_CHUNK].dot(b[lo : lo + _DOT_CHUNK]) for lo in range(0, a.size, _DOT_CHUNK))
+def dot(a: np.ndarray, b: np.ndarray):
+    """a . b along the last axis, one float per row (a float for a lone row),
+    summed over consecutive `_DOT_CHUNK`-float pieces in order: OpenBLAS splits
+    a longer dot across threads, which moves its bits. A lone row takes
+    `np.dot`, which costs less per call than `np.vecdot` for the same BLAS dot."""
+    n, f = a.shape[-1], np.vecdot
+    if a.size == n:
+        a, b, f = a.reshape(n), b.reshape(n), np.dot
+    total = f(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
+    for lo in range(_DOT_CHUNK, n, _DOT_CHUNK):
+        total = total + f(a[..., lo : lo + _DOT_CHUNK], b[..., lo : lo + _DOT_CHUNK])
+    return total
 
 
 def block_norms(x: BlockVector) -> np.ndarray:

@@ -8,6 +8,7 @@ model pass reads (a minibatch, a shard, a split) is a read-only `Dataset`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (N, d)
-    labels: np.ndarray    # (N,)
+    """Samples with labels. A leading client axis stacks K same-sized sets, as a
+    lockstep group's step reads them: features (K, N, d), labels (K, N)."""
+
+    features: np.ndarray  # (..., N, d)
+    labels: np.ndarray    # (..., N)
     classes: int
 
     def __post_init__(self):
@@ -44,18 +48,23 @@ class Dataset:
         for name, dtype in (("features", np.float64), ("labels", None)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             object.__setattr__(self, name, _frozen(arr.copy()) if arr.flags.writeable else arr)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if self.features.ndim < 2 or self.features.shape[-2] < 1:
             raise DataFormatError("dataset needs at least one sample")
-        if self.labels.shape != (self.features.shape[0],):
+        if self.labels.shape != self.features.shape[:-1]:
             raise DataFormatError("labels must match the number of samples")
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.features.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.features.shape[-1]
+
+    def take(self, idx: np.ndarray) -> "Dataset":
+        """The samples at positions `idx`, read-only; an index array with a
+        leading axis gathers that many sets at once."""
+        return Dataset(_frozen(self.features[idx]), _frozen(self.labels[idx]), self.classes)
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,7 @@ class ClientShard:
         return self.indices.size
 
     def view(self, dataset: Dataset) -> Dataset:
-        idx = self.indices
-        return Dataset(_frozen(dataset.features[idx]), _frozen(dataset.labels[idx]), dataset.classes)
+        return dataset.take(self.indices)
 
 
 def load_csv(path, d: int, k: int) -> Dataset:
@@ -204,18 +212,30 @@ def partition_label_shards(
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class Batches(Sequence):
+    """One local epoch of a shard: `order`, its sample positions in the parent
+    dataset in epoch order, cut into consecutive batches of `size` (the last may
+    be short). A batch is gathered as a read-only Dataset when it is read."""
+
+    dataset: Dataset
+    order: np.ndarray
+    size: int
+
+    def __len__(self) -> int:
+        return -(-self.order.size // self.size)
+
+    def __getitem__(self, i: int) -> Dataset:
+        lo = range(0, self.order.size, self.size)[i]
+        return self.dataset.take(self.order[lo : lo + self.size])
+
+
 def minibatch_stream(
     dataset: Dataset, shard: ClientShard, batch_size: int, epoch: int, seed: int
-) -> list[Dataset]:
+) -> Batches:
     """One local epoch: a fresh seed-and-epoch-keyed permutation of the
     shard cut into read-only batches, with a final short batch if needed."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     perm = np.random.default_rng([_BATCH_TAG, seed, epoch]).permutation(len(shard))
-    order = shard.indices[perm]
-    batches = []
-    for start in range(0, len(order), batch_size):
-        sel = order[start : start + batch_size]
-        batches.append(Dataset(_frozen(dataset.features[sel]), _frozen(dataset.labels[sel]),
-                               dataset.classes))
-    return batches
+    return Batches(dataset, shard.indices[perm], batch_size)

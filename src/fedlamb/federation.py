@@ -7,6 +7,10 @@ Determinism contract: every emitted number is a pure function of
 (config, seed); client RNG streams are keyed, client work is independent,
 and reductions run in ascending client-id order whatever order the local
 rounds ran in.
+
+Sampled clients with equal shard sizes (so equal minibatch schedules) train
+in lockstep groups whose buffers are rows of (K, p) arrays; each row's
+arithmetic is a lone client's, so the grouping changes no bit.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from .blocks import BlockVector, lin_comb, ew_max, ratio_div, square
 from .data import ClientShard, Dataset, minibatch_stream
 # ratio_div and forward_loss are not called here, but perfbench's tracer reports
 # blocks.ratio_div and the metric pass only when it finds them under federation's names.
-from .models import ModelSpec, NumericOverflowError, backward, evaluate, forward_loss, full_gradient, init_params
+from .models import (
+    ModelSpec, NumericOverflowError, Stack, backward, evaluate, forward_loss, full_gradient, init_params,
+)
 from .optim import (
     IDENTITY, ScalingFn, amsgrad_step, check_ranges, denominator, lamb_step, milestone_lr,
     moment_update, sgd_step,
@@ -50,6 +56,9 @@ PROTOCOLS = tuple(TABLE)
 ADAPTIVE = frozenset(name for name, proto in TABLE.items() if proto.vhat)
 
 _SAMPLE_TAG = 0x5E1
+# Floats one (K, p) buffer of a lockstep group may hold: groups are cut to
+# max(1, _STACK_FLOATS // p) clients (512 KiB per buffer).
+_STACK_FLOATS = 1 << 16
 
 
 class ProtocolError(ValueError):
@@ -246,62 +255,89 @@ def lazy_sync_gate(r: int, Z: int) -> bool:
     return r % Z == 0
 
 
+def _lockstep_groups(ids, shards: list[ClientShard], p: int) -> list[list[int]]:
+    """The sampled ids, in their order, split by shard size (which fixes the
+    minibatch schedule) and cut so that a group's (K, p) buffer holds at most
+    `_STACK_FLOATS` floats."""
+    by_size, cap = {}, max(1, _STACK_FLOATS // p)
+    for i in ids:
+        by_size.setdefault(len(shards[i]), []).append(i)
+    return [same[lo : lo + cap] for same in by_size.values() for lo in range(0, len(same), cap)]
+
+
 def local_round(
-    client: ClientState,
+    group: list[ClientState],
     theta_bar: BlockVector,
     cfg: RunConfig,
     r: int,
     alpha_r: float,
-) -> LocalResult:
-    """One client's local training for round r: T epochs of the protocol's
-    local step rule from the broadcast model and the client's v-hat. Returns
-    exactly the payloads the protocol uploads; carried buffers stay on the client."""
+) -> list[LocalResult]:
+    """One lockstep group's local training for round r: T epochs of the
+    protocol's local step rule from the broadcast model, each client against
+    its own v-hat, all clients stepping at once. The group's shards have one
+    size. Returns, per client, exactly the payloads the protocol uploads;
+    carried buffers stay on the clients."""
     proto = TABLE[cfg.protocol]
     T = cfg.local_epochs
-    shard, vhat = cfg.shards[client.client_id], client.vhat
-    result = LocalResult(client_id=client.client_id, params=theta_bar)
+    shards = [cfg.shards[c.client_id] for c in group]
+    results = [LocalResult(client_id=c.client_id, params=theta_bar, grad_evals=T * len(shard))
+               for c, shard in zip(group, shards)]
     if "gradient" in proto.uplink:
-        shard_data = shard.view(cfg.train)
-        _, result.full_grad = full_gradient(cfg.spec, theta_bar, shard_data)
-        result.grad_evals += shard_data.n
+        for res, shard in zip(results, shards):
+            shard_data = shard.view(cfg.train)
+            _, res.full_grad = full_gradient(cfg.spec, theta_bar, shard_data)
+            res.grad_evals += shard_data.n
 
-    v0 = vhat if "moment" in proto.uplink else None  # line "v0 = v-hat"
-    s = _LocalRound(cfg, alpha_r, theta_bar, client.m, v0, vhat)
+    s = _LocalRound(cfg, alpha_r, theta_bar, group, track_v="moment" in proto.uplink)
+    stack = Stack(cfg.spec, s.layout, s.theta)
     rule = getattr(_LocalRound, proto.local)
     step = 0
     for e in range(T):
         epoch_id = (r - 1) * T + e
-        for batch in minibatch_stream(cfg.train, shard, cfg.batch_size, epoch_id, cfg.seed):
+        orders = np.stack([minibatch_stream(cfg.train, shard, cfg.batch_size, epoch_id, cfg.seed).order
+                           for shard in shards])
+        for lo in range(0, orders.shape[1], cfg.batch_size):
             step += 1
             try:
-                g = backward(cfg.spec, s.view, batch)
+                g = backward(cfg.spec, stack, cfg.train.take(orders[:, lo : lo + cfg.batch_size]))
             except NumericOverflowError as exc:
-                raise NumericOverflowError(
-                    f"client {client.client_id}, local step {step}: {exc}"
-                ) from exc
-            result.grad_evals += batch.n
-            rule(s, g.data)
+                first = min(group[k].client_id for k in exc.rows)
+                raise NumericOverflowError(f"client {first}, local step {step}: {exc}") from exc
+            rule(s, g)
 
-    client.m, result.params, result.v = (
-        None if a is None else BlockVector(s.layout, a) for a in (s.m, s.theta, s.v))
-    return result
+    for k, (client, res) in enumerate(zip(group, results)):
+        if s.m is not None:  # copied out of a shared stack, or an unsampled client would keep it alive
+            client.m = BlockVector(s.layout, s.m[k].copy() if len(group) > 1 else s.m[k])
+        res.params = BlockVector(s.layout, s.theta[k])
+        if s.v is not None:
+            res.v = BlockVector(s.layout, s.v[k])
+    return results
 
 
 class _LocalRound:
-    """One client's local round in progress; its methods are the local step
-    rules. It owns mutable flat buffers, copied once from the broadcast
-    read-only vectors and updated in place by every step; local_round freezes
-    them into block vectors at round end. `view` is the read-only block vector
-    over theta that backward reads within a step."""
+    """One lockstep group's local round in progress; its methods are the local
+    step rules. It owns mutable (K, p) buffers, one row per client, copied once
+    from the broadcast read-only vectors and updated in place by every step;
+    local_round hands out their rows at round end."""
 
-    def __init__(self, cfg, lr, theta_bar, m, v, vhat):
+    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], track_v: bool):
         self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
-        # the model, carried first moment, local second moment if uploaded
-        self.theta, self.m, self.v = (None if x is None else x.data.copy() for x in (theta_bar, m, v))
-        self.view = BlockVector(self.layout, self.theta.view())
-        # sqrt(max(v-hat, eps)), the scale the adaptive steps divide by
-        self.denom = None if vhat is None else denominator(vhat.data, cfg.eps, out=np.empty_like(self.theta))
-        self.tmp, self.psi = np.empty_like(self.theta), np.empty_like(self.theta)
+        shape = (len(group), theta_bar.dim)
+
+        def rows(vectors):  # np.array copies a little faster than np.stack
+            return None if vectors[0] is None else np.array([x.data for x in vectors])
+
+        # the model, carried first moment, local second moment (v0 = v-hat) if uploaded
+        self.theta = rows([theta_bar] * len(group))
+        self.m = rows([c.m for c in group])
+        self.v = rows([c.vhat for c in group]) if track_v else None
+        # sqrt(max(v-hat, eps)) per client, the scale the adaptive steps divide by
+        self.denom = None
+        if group[0].vhat is not None:
+            self.denom = np.empty(shape)
+            for row, c in zip(self.denom, group):
+                denominator(c.vhat.data, cfg.eps, out=row)
+        self.tmp = np.empty(shape)
 
     def sgd(self, g: np.ndarray) -> None:
         sgd_step(self.theta, g, self.lr, tmp=self.tmp)
@@ -322,11 +358,12 @@ class _LocalRound:
         amsgrad_step(self.theta, self.m, self.denom, self.lr, tmp=self.tmp)
 
     def lamb(self, g: np.ndarray) -> None:
-        """Layer-wise trust-ratio step against v-hat, frozen for the round."""
+        """Layer-wise trust-ratio step against v-hat, frozen for the round;
+        psi = m / sqrt(max(v-hat, eps)) overwrites the spent gradient."""
         c = self.cfg
         moment_update(self.m, self.v, g, c.beta1, c.beta2, tmp=self.tmp)
-        np.divide(self.m, self.denom, out=self.psi)
-        lamb_step(self.theta, self.psi, self.lr, c.lam, c.phi, layout=self.layout, tmp=self.tmp)
+        psi = np.divide(self.m, self.denom, out=g)
+        lamb_step(self.theta, psi, self.lr, c.lam, c.phi, layout=self.layout, tmp=self.tmp)
 
 
 def aggregate_params(received: list[BlockVector]) -> BlockVector:
@@ -410,7 +447,9 @@ def run_round(
                 clients[i].vhat = server.vhat
 
         alpha_r = milestone_lr(cfg.alpha, r, cfg.milestones, cfg.lr_factor)
-        results = [local_round(clients[i], server.params, cfg, r, alpha_r) for i in ids]
+        results = []
+        for group in _lockstep_groups(ids, cfg.shards, server.params.dim):
+            results += local_round([clients[i] for i in group], server.params, cfg, r, alpha_r)
         results.sort(key=lambda res: res.client_id)
         getattr(server, proto.server)(results, cfg, gate)
         server.round_index = r

@@ -4,6 +4,10 @@ Every model is one stack of dense layers whose kind picks only the output
 head: scalar linear regression (MSE), binary logistic regression (one logit)
 or a softmax MLP (cross-entropy). Every parameter tensor is its own block,
 so the induced block structure is the unit of layer-wise normalization.
+
+The passes take a leading client axis: one pass of a `Stack` (K models, one
+per row) over K stacked batches makes, row by row, the same IEEE operations
+as K separate passes. The metric pass runs them on one model and 2-D input.
 """
 
 from __future__ import annotations
@@ -27,7 +31,10 @@ _CHUNK = 256
 
 
 class NumericOverflowError(FloatingPointError):
-    """Non-finite values appeared during a forward or backward pass."""
+    """Non-finite values appeared during a forward or backward pass. In a
+    stacked pass, `rows` are the stack rows that were non-finite."""
+
+    rows: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -83,8 +90,12 @@ def init_params(spec: ModelSpec, seed: int) -> BlockVector:
 
 
 def _check_finite(arr: np.ndarray, block: str):
-    if not np.isfinite(arr).all():
-        raise NumericOverflowError(f"non-finite activations at block {block!r}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        exc = NumericOverflowError(f"non-finite activations at block {block!r}")
+        if arr.ndim > 2:
+            exc.rows = tuple(np.flatnonzero(~finite.reshape(len(arr), -1).all(axis=1)).tolist())
+        raise exc
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -101,35 +112,46 @@ def _block_names(spec: ModelSpec) -> tuple[str, ...]:
     return tuple(n for n, _, _ in param_template(spec))
 
 
-def _check_batch(spec: ModelSpec, params: BlockVector, batch: Dataset):
-    if batch.features.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"feature width {batch.features.shape[1]} != input_dim {spec.input_dim}"
-        )
+def _check_batch(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset):
+    if batch.dim != spec.input_dim:
+        raise ValueError(f"feature width {batch.dim} != input_dim {spec.input_dim}")
     names = _block_names(spec)
     if params.names != names:
         raise ValueError(f"params {params.names} do not match spec blocks {names}")
 
 
 def _layers(spec: ModelSpec, layout: Layout, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (W, b) views over `flat`, a vector in `layout`; W is (fan_in, fan_out)."""
-    sizes, s = spec.layer_sizes(), layout.slices
-    return [(flat[ws].reshape(fi, fo), flat[bs]) for ws, bs, fi, fo in zip(s[::2], s[1::2], sizes, sizes[1:])]
+    """Each layer's (W, b) views over `flat`, vectors in `layout` along its last
+    axis; W is (..., fan_in, fan_out) and b is (..., 1, fan_out)."""
+    sizes, s, lead = spec.layer_sizes(), layout.slices, flat.shape[:-1]
+    return [(flat[..., ws].reshape(*lead, fi, fo), flat[..., None, bs])
+            for ws, bs, fi, fo in zip(s[::2], s[1::2], sizes, sizes[1:])]
+
+
+class Stack:
+    """K models of one spec as the rows of a writable (K, p) buffer in `layout`,
+    for passes over K stacked batches. Each layer's (W, b) views over the
+    buffer, and over the gradient buffer `grad` that `backward` fills, are
+    built once here instead of in every pass."""
+
+    def __init__(self, spec: ModelSpec, layout: Layout, data: np.ndarray):
+        self.layout, self.names, self.grad = layout, layout.names, np.empty_like(data)
+        self.layers, self.grads = _layers(spec, layout, data), _layers(spec, layout, self.grad)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, its inner dimension summed over consecutive `_CHUNK`-long pieces
     in order; an inner dimension of at most `_CHUNK` is one product."""
-    out = a[:, :_CHUNK] @ b[:_CHUNK]
-    for lo in range(_CHUNK, a.shape[1], _CHUNK):
-        out += a[:, lo : lo + _CHUNK] @ b[lo : lo + _CHUNK]
+    out = a[..., :_CHUNK] @ b[..., :_CHUNK, :]
+    for lo in range(_CHUNK, a.shape[-1], _CHUNK):
+        out += a[..., lo : lo + _CHUNK] @ b[..., lo : lo + _CHUNK, :]
     return out
 
 
-def _stack_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
+def _stack_forward(spec: ModelSpec, params: BlockVector | Stack, X: np.ndarray):
     """Returns (output layer's z, input to each layer, (W, b) per layer); bias
     and activation are applied in place on each matmul's output."""
-    layers = _layers(spec, params.layout, params.data)
+    layers = params.layers if isinstance(params, Stack) else _layers(spec, params.layout, params.data)
     acts = [X]
     h = X
     for i, ((W, b), name) in enumerate(zip(layers, params.names[::2]), start=1):
@@ -143,11 +165,11 @@ def _stack_forward(spec: ModelSpec, params: BlockVector, X: np.ndarray):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
-def _forward(spec: ModelSpec, params: BlockVector, batch: Dataset):
+def _forward(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset):
     """One forward pass: (out, scores, saved). The loss and its gradient start
     from the head's `out` (residual, logit or log-probabilities), a class
     prediction from `scores`; `saved` holds the layer inputs and weights."""
@@ -155,7 +177,7 @@ def _forward(spec: ModelSpec, params: BlockVector, batch: Dataset):
     z, acts, layers = _stack_forward(spec, params, batch.features)
     if spec.kind == "mlp":
         return _log_softmax(z), z, (acts, layers)
-    z = z[:, 0]
+    z = z[..., 0]
     if spec.kind == "linear-regression":
         z -= batch.labels.astype(np.float64)
     return z, z, (acts, layers)
@@ -170,50 +192,55 @@ def _loss_terms(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> np.ndar
     return -out[np.arange(len(labels)), labels.astype(np.intp)]
 
 
-def _gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, out, saved, n: int, g: np.ndarray):
-    """Writes into `g` the batch's share of the gradient of a mean loss over
-    `n` samples: the head's output delta from `_forward`'s `out`, then the
-    layers from last to first through `saved`."""
+def _gradient(spec: ModelSpec, batch: Dataset, out, saved, n: int, grads):
+    """Writes through `grads`, each layer's (W, b) views over a gradient buffer,
+    the batch's share of the gradient of a mean loss over `n` samples: the
+    head's output delta from `_forward`'s `out`, then the layers from last to
+    first through `saved`."""
     acts, layers = saved
     if spec.kind == "mlp":
         delta = np.exp(out)
-        delta[np.arange(batch.n), batch.labels.astype(np.intp)] -= 1.0
+        rows = delta.reshape(-1, delta.shape[-1])
+        rows[np.arange(len(rows)), batch.labels.reshape(-1).astype(np.intp)] -= 1.0
         delta /= n
     elif spec.kind == "logistic":
-        delta = ((_sigmoid(out) - batch.labels.astype(np.float64)) / n)[:, None]
+        delta = ((_sigmoid(out) - batch.labels.astype(np.float64)) / n)[..., None]
     else:
-        delta = (2.0 / n * out)[:, None]
-    grads = _layers(spec, params.layout, g)
+        delta = (2.0 / n * out)[..., None]
     for i in range(len(layers) - 1, -1, -1):
         gW, gb = grads[i]
-        np.matmul(acts[i].T, delta, out=gW)
-        delta.sum(axis=0, out=gb)
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=gW)
+        delta.sum(axis=-2, keepdims=True, out=gb)
         if i > 0:
-            delta = _matmul(delta, layers[i][0].T)
+            delta = _matmul(delta, layers[i][0].swapaxes(-1, -2))
             if spec.activation == "relu":
                 np.multiply(delta, acts[i] > 0, out=delta)
             else:
                 delta *= 1.0 - acts[i] * acts[i]
 
 
-def _loss_and_gradient(spec: ModelSpec, params: BlockVector, batch: Dataset, with_loss: bool):
+def _loss_and_gradient(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset, with_loss: bool):
     """(mean loss or None, gradient of the mean loss) over consecutive `_CHUNK`-row
     chunks of `batch`, in order: each chunk divides by the whole batch's size,
     the first writes the gradient and later ones add to it, and the loss is one
-    mean over every sample's term. A batch of at most `_CHUNK` rows is one chunk."""
+    mean over every sample's term. A batch of at most `_CHUNK` rows is one chunk.
+    A block vector's gradient is a new block vector; a stack's is its `grad`."""
+    stack = params if isinstance(params, Stack) else Stack(spec, params.layout, params.data)
     n = batch.n
-    flat, tmp = np.empty(params.dim), np.empty(params.dim) if n > _CHUNK else None
+    tmp = np.empty_like(stack.grad) if n > _CHUNK else None
+    tmp_grads = None if tmp is None else _layers(spec, stack.layout, tmp)
     terms = np.empty(n) if with_loss else None
     for lo in range(0, n, _CHUNK):
         chunk = batch if n <= _CHUNK else Dataset(
-            batch.features[lo : lo + _CHUNK], batch.labels[lo : lo + _CHUNK], batch.classes)
-        out, _, saved = _forward(spec, params, chunk)
+            batch.features[..., lo : lo + _CHUNK, :], batch.labels[..., lo : lo + _CHUNK], batch.classes)
+        out, _, saved = _forward(spec, stack, chunk)
         if with_loss:
             terms[lo : lo + chunk.n] = _loss_terms(spec, out, chunk.labels)
-        _gradient(spec, params, chunk, out, saved, n, tmp if lo else flat)
+        _gradient(spec, chunk, out, saved, n, tmp_grads if lo else stack.grads)
         if lo:
-            flat += tmp
-    return float(np.mean(terms)) if with_loss else None, BlockVector(params.layout, flat)
+            stack.grad += tmp
+    loss = float(np.mean(terms)) if with_loss else None
+    return loss, stack.grad if stack is params else BlockVector(params.layout, stack.grad)
 
 
 def forward_loss(spec: ModelSpec, params: BlockVector, batch: Dataset) -> float:
@@ -221,8 +248,9 @@ def forward_loss(spec: ModelSpec, params: BlockVector, batch: Dataset) -> float:
     return float(np.mean(_loss_terms(spec, _forward(spec, params, batch)[0], batch.labels)))
 
 
-def backward(spec: ModelSpec, params: BlockVector, batch: Dataset) -> BlockVector:
-    """Gradient of the mean batch loss with respect to every block."""
+def backward(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset) -> BlockVector | np.ndarray:
+    """Gradient of the mean batch loss with respect to every block; for a
+    stack, each row's over its own batch of `batch` (K, b, d), in `params.grad`."""
     return _loss_and_gradient(spec, params, batch, with_loss=False)[1]
 
 

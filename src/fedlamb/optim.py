@@ -1,10 +1,12 @@
 """Per-client optimizer step rules: SGD, the AMSGrad moment recursion and
 the layer-wise trust-ratio step.
 
-The steps update flat float64 buffers in place, using numpy `out=`
-operations; `tmp` is caller-owned scratch of the same length. They make the
-same IEEE operations in the same order as the pure `blocks` kernels, so a
-step gives the same bits as the kernel chain it stands for.
+The steps update float64 buffers in place, using numpy `out=` operations;
+`tmp` is caller-owned scratch of the same shape. A buffer is one vector or a
+(K, p) stack of K clients' vectors, one per row, stepped at once. The steps
+make, row by row, the same IEEE operations in the same order as the pure
+`blocks` kernels, so a step gives the same bits as the kernel chain it
+stands for.
 
 No bias correction anywhere: the moment recursions are used exactly as
 m <- b1*m + (1-b1)*g and v <- b2*v + (1-b2)*g^2.
@@ -106,23 +108,27 @@ def amsgrad_step(theta, m, denom, alpha: float, *, tmp) -> None:
 def lamb_step(theta, psi, alpha: float, lam: float, phi: ScalingFn, *, layout: Layout, tmp):
     """Layer-wise normalized step, in place on theta; psi is overwritten.
 
-    Per block: u = psi + lam*theta; theta' = theta - alpha*phi(|theta|)*u/|u|.
+    Per block of each row: u = psi + lam*theta; theta' = theta - alpha*phi(|theta|)*u/|u|.
     Degenerate blocks: |u| = 0 gives coefficient 0 and leaves the block
     unchanged (a -0.0 coordinate may become 0.0); |theta| = 0
     replaces the trust factor phi(|theta|)/|u| by 1 so zero-initialized
-    bias blocks stay trainable under the identity scaling.
-    Returns the (|theta|, |u|) pair each block's coefficient came from.
+    bias blocks stay trainable under the identity scaling. The norms of all
+    rows come first (`blocks.dot`: for a stack, one `np.vecdot` per block and
+    8,192-float piece), then a (K, L) array of coefficients. Returns the
+    (|theta|, |u|) pair each block's coefficient came from: a list per block
+    for a vector, one such list per row for a stack.
     """
     np.multiply(theta, lam, out=tmp)
     u = np.add(psi, tmp, out=psi)
-    norms = []
-    for s in layout.slices:
-        t_block, u_block = theta[s], u[s]
-        t_norm, u_norm = math.sqrt(dot(t_block, t_block)), math.sqrt(dot(u_block, u_block))
-        u_block *= 0.0 if u_norm == 0.0 else alpha if t_norm == 0.0 else alpha * phi(t_norm) / u_norm
-        norms.append((t_norm, u_norm))
+    L = len(layout.slices)
+    norms = np.sqrt([dot(x[..., s], x[..., s]) for x in (theta, u) for s in layout.slices])
+    pairs = [list(zip(row[:L], row[L:])) for row in norms.reshape(2 * L, -1).T.tolist()]
+    coef = np.array([[0.0 if un == 0.0 else alpha if tn == 0.0 else alpha * phi(tn) / un for tn, un in row]
+                     for row in pairs]).reshape(*theta.shape[:-1], L)
+    for j, s in enumerate(layout.slices):
+        u[..., s] *= coef[..., j, None]
     theta -= u
-    return norms
+    return pairs if theta.ndim > 1 else pairs[0]
 
 
 def milestone_lr(alpha0: float, r: int, milestones, factor: float) -> float:

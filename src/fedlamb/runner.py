@@ -111,7 +111,9 @@ def summarize(history: list[RoundMetrics]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
     """Run the experiment (with repeats on derived seeds), write one metric
-    CSV per repeat plus a summary text file; returns the summary dict."""
+    CSV per repeat plus a summary text file; returns the summary dict. Each
+    run's own values keep their plain names for a single run and are named
+    `seed<N>_...` per run when there are repeats."""
     out = Path(out if out is not None else (cfg.out or "metrics.csv"))
     summaries = []
     for i in range(cfg.repeat):
@@ -121,9 +123,11 @@ def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
             f"{out.stem}_seed{seed}{out.suffix}"
         )
         write_metrics(history, path)
-        summaries.append(summarize(history))
+        summaries.append((seed, summarize(history)))
 
-    best_accs = [s["best_test_accuracy"] for s in summaries]
+    per_run = summaries[0][1] if cfg.repeat == 1 else {
+        f"seed{seed}_{key}": value for seed, s in summaries for key, value in s.items()}
+    best_accs = [s["best_test_accuracy"] for _, s in summaries]
     summary = {
         "protocol": cfg.protocol,
         "repeats": cfg.repeat,
@@ -131,8 +135,8 @@ def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
         "stddev_best_test_accuracy": (
             statistics.stdev(best_accs) if len(best_accs) > 1 else 0.0
         ),
-        "mean_final_train_loss": statistics.fmean(s["final_train_loss"] for s in summaries),
-        **summaries[0],
+        "mean_final_train_loss": statistics.fmean(s["final_train_loss"] for _, s in summaries),
+        **per_run,
     }
     with open(out.with_suffix(out.suffix + ".summary.txt"), "w", encoding="utf-8") as fh:
         for key, value in summary.items():

@@ -11,17 +11,18 @@ from fedlamb.blocks import BlockVector, block_norms
 @pytest.fixture
 def lamb_displacements(monkeypatch):
     """Wraps federation.lamb_step. The list it returns gets, per block of
-    every layer-wise step, (displacement norm, lr*phi(|theta|), fallback),
-    where fallback marks a block with |u| = 0 or |theta| = 0, which the
-    displacement law does not cover."""
+    every row of every layer-wise step, (displacement norm, lr*phi(|theta|),
+    fallback), where fallback marks a block with |u| = 0 or |theta| = 0,
+    which the displacement law does not cover."""
     lamb_step, recorded = federation.lamb_step, []
 
     def spy(theta, psi, alpha, lam, phi, *, layout, tmp):
         before = theta.copy()
         norms = lamb_step(theta, psi, alpha, lam, phi, layout=layout, tmp=tmp)
-        disp = block_norms(BlockVector(layout, theta - before))
-        for d, (t_norm, u_norm) in zip(disp.tolist(), norms):
-            recorded.append((d, alpha * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
+        for row, row_before, row_norms in zip(theta, before, norms):
+            disp = block_norms(BlockVector(layout, row - row_before))
+            for d, (t_norm, u_norm) in zip(disp.tolist(), row_norms):
+                recorded.append((d, alpha * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
         return norms
 
     monkeypatch.setattr(federation, "lamb_step", spy)
@@ -30,14 +31,14 @@ def lamb_displacements(monkeypatch):
 
 @pytest.fixture
 def uploaded_params(monkeypatch):
-    """Wraps federation.local_round. The list it returns gets each local
-    round's uploaded model, in the order the rounds ran."""
+    """Wraps federation.local_round. The list it returns gets each client's
+    uploaded model, in the order the lockstep groups ran."""
     local_round, uploads = federation.local_round, []
 
     def spy(*args):
-        res = local_round(*args)
-        uploads.append(res.params)
-        return res
+        results = local_round(*args)
+        uploads.extend(res.params for res in results)
+        return results
 
     monkeypatch.setattr(federation, "local_round", spy)
     return uploads

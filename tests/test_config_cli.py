@@ -218,6 +218,18 @@ class TestRunExperiment:
         assert summary["repeats"] == 3
         assert summary["stddev_best_test_accuracy"] >= 0.0
 
+    def test_repeat_summary_names_each_run_by_seed(self, tmp_path):
+        # the plain per-run keys would describe the first seed alone
+        cfg = parse_config(write(tmp_path, SMALL + "repeat = 2\n"))
+        out = tmp_path / "r.csv"
+        summary = run_experiment(cfg, out=out)
+        finals = [summary[f"seed{seed}_final_test_accuracy"] for seed in (1, 2)]
+        assert finals == [run_single(cfg, seed)[-1].test_accuracy for seed in (1, 2)]
+        assert finals[0] != finals[1]
+        assert not {"best_test_accuracy", "final_test_accuracy", "final_train_loss"} & set(summary)
+        text = (tmp_path / "r.csv.summary.txt").read_text()
+        assert "seed2_final_train_loss = " in text and "\nfinal_train_loss" not in text
+
     def test_reshard_each_round_runs(self, tmp_path):
         cfg = parse_config(write(tmp_path, SMALL + "reshard_each_round = true\n"))
         history = run_single(cfg, cfg.seed)

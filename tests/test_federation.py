@@ -27,7 +27,7 @@ from fedlamb.federation import (
     run_round,
     sample_clients,
 )
-from fedlamb.models import ModelSpec, backward, forward_loss
+from fedlamb.models import ModelSpec, NumericOverflowError, backward, forward_loss
 from fedlamb.optim import clipped
 
 import oracles
@@ -239,7 +239,7 @@ class TestLocalRound:
         )
         server, clients = init_run(cfg)
         theta0 = blocks.zeros_like(server.params)
-        res = local_round(clients[0], theta0, cfg, r=1, alpha_r=0.5)
+        [res] = local_round([clients[0]], theta0, cfg, r=1, alpha_r=0.5)
         assert all(np.array_equal(a, b) for a, b in zip(res.params.blocks, theta0.blocks))
 
     def test_fed_lamb_displacement_law(self, lamb_displacements):
@@ -254,7 +254,7 @@ class TestLocalRound:
     def test_mime_reports_full_shard_gradient(self):
         cfg = make_cfg("mime", n=2, batch_size=8)
         server, clients = init_run(cfg)
-        res = local_round(clients[0], server.params, cfg, 1, 0.01)
+        [res] = local_round([clients[0]], server.params, cfg, 1, 0.01)
         from fedlamb.models import full_gradient
         _, want = full_gradient(cfg.spec, server.params, cfg.shards[0].view(cfg.train))
         for a, b in zip(res.full_grad.blocks, want.blocks):
@@ -542,7 +542,7 @@ class TestRunRound:
         for proto in TABLE:
             seen = []
             monkeypatch.setattr(
-                federation, "local_round", lambda *args: seen.append(local(*args)) or seen[-1]
+                federation, "local_round", lambda *args: seen.extend(local(*args)) or seen[-len(args[0]):]
             )
             cfg = make_cfg(proto, n=3, batch_size=8)
             server, clients = init_run(cfg)
@@ -566,7 +566,7 @@ class TestRunRound:
         monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::order])
         local, uploads = federation.local_round, []
         monkeypatch.setattr(
-            federation, "local_round", lambda *args: uploads.append(local(*args)) or uploads[-1]
+            federation, "local_round", lambda *args: uploads.extend(local(*args)) or uploads[-len(args[0]):]
         )
         cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, alpha=0.05, lam=0.01)
         server, clients = init_run(cfg)
@@ -590,6 +590,78 @@ class TestRunRound:
             m, _ = run_round(server, clients, cfg)
             counts[proto] = m.grad_evals
         assert counts["mime-lamb"] == 2 * counts["fed-lamb"]
+
+
+class TestLockstepGroups:
+    """Sampled clients whose shards have one size step as one group; how they
+    are grouped, and in which order, moves no bit."""
+
+    @staticmethod
+    def _uneven_cfg(proto):
+        # 5000 IID rows over 7 clients: shards of 715 and 714 rows; with half of
+        # them sampled and v-hat synced every other round, the rows of one group
+        # carry different v-hats
+        train = gen_blobs(10, 20, per_class=500, separation=6.0, noise=1.5, seed=3)
+        test = gen_blobs(10, 20, per_class=20, separation=6.0, noise=1.5, seed=4)
+        kw = dict(eta_global=0.01) if proto == "adp-fed" else {}
+        return RunConfig(
+            protocol=proto, spec=ModelSpec("mlp", input_dim=20, hidden=(16,), classes=10),
+            train=train, test=test, shards=partition_iid(train, 7, seed=3), alpha=0.01,
+            batch_size=128, participation=0.5, lazy_period=2, seed=3, **kw,
+        )
+
+    @classmethod
+    def _run(cls, proto, rounds=5):
+        cfg = cls._uneven_cfg(proto)
+        server, clients = init_run(cfg)
+        rows = [dataclasses.replace(run_round(server, clients, cfg)[0], wall_time=0.0) for _ in range(rounds)]
+        return rows, [x.data.tobytes() for x in (server.params, server.vhat) if x is not None]
+
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_grouping_moves_no_bit(self, proto, monkeypatch):
+        local, groups = federation.local_round, []
+
+        def spy(group, *args):
+            groups.append(group)
+            return local(group, *args)
+
+        monkeypatch.setattr(federation, "local_round", spy)
+        default = self._run(proto)
+        assert any(len({id(c.vhat) for c in g}) > 1 for g in groups) == TABLE[proto].vhat
+        assert max(map(len, groups)) > 1
+        monkeypatch.undo()
+
+        monkeypatch.setattr(federation, "_STACK_FLOATS", 1)
+        assert self._run(proto) == default  # every group one client
+        monkeypatch.undo()
+
+        ascending = federation.sample_clients
+        monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::-1])
+        assert self._run(proto) == default
+
+    def test_groups_split_by_shard_size_and_cut_at_the_stack_bound(self):
+        shards = [ClientShard(i, np.arange(n)) for i, n in enumerate((3, 4, 3, 3, 4, 3))]
+        assert federation._lockstep_groups([0, 1, 2, 3, 4, 5], shards, 1 << 14) == [[0, 2, 3, 5], [1, 4]]
+        assert federation._lockstep_groups([5, 4, 3, 2, 1, 0], shards, 1 << 15) == [[5, 3], [2, 0], [4, 1]]
+        assert federation._lockstep_groups([0, 1], shards, 1 << 17) == [[0], [1]]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_names_client_and_step(self):
+        # two clients with 8-row shards in one group; only client 1's rows overflow
+        features = np.ones((16, 4))
+        features[8:] = np.inf
+        train = Dataset(features, np.arange(16) % 3, 3)
+        shards = [ClientShard(0, np.arange(8)), ClientShard(1, np.arange(8, 16))]
+        cfg = RunConfig(protocol="fed-lamb", spec=SPEC, train=train, test=train, shards=shards,
+                        batch_size=4, seed=0)
+        server, clients = init_run(cfg)
+        with pytest.raises(NumericOverflowError) as info:
+            run_round(server, clients, cfg)
+        assert str(info.value) == "round 1: client 1, local step 1: non-finite activations at block 'W1'"
+        local = info.value.__cause__
+        assert type(local) is NumericOverflowError
+        assert str(local.__cause__) == "non-finite activations at block 'W1'"
+        assert local.__cause__.rows == (1,)
 
 
 class TestReductionIdentity:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedlamb.blocks import BlockVector, block_norms, ew_max, lin_comb, mean, ratio_div, square
-from fedlamb.federation import _LocalRound
+from fedlamb.federation import ClientState, _LocalRound
 from fedlamb.optim import IDENTITY, clipped, lamb_step
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -166,9 +166,10 @@ def kernel_chain(rule, s, g, cfg, lr):
        st.sampled_from([0.0, 0.01, 0.1]), PHIS, st.sampled_from([1e-8, 1e-4]))
 def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, eps):
     """Over several steps, a local rule on its in-place buffers gives the same
-    bits as the kernel chain, and the broadcast vectors it started from stay
-    as they were. Zero blocks in theta, m and the gradients make |theta| = 0
-    and |u| = 0 blocks, and v-hat coordinates below the eps floor."""
+    bits as the kernel chain, row by row of a two-client group whose v-hats
+    differ, and the broadcast vectors it started from stay as they were. Zero
+    blocks in theta, m and the gradients make |theta| = 0 and |u| = 0 blocks,
+    and v-hat coordinates below the eps floor."""
     n = len(xs[0].blocks)
     zero = [data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in xs]
 
@@ -177,21 +178,24 @@ def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, 
             [np.zeros_like(b) if z else b for b, z in zip(x.blocks, mask)]))
 
     theta, m, *grads = (masked(x, z) for x, z in zip(xs, zero))
-    vhat = BlockVector(theta.layout, np.abs(grads[0].data))  # zero blocks sit below eps
+    # zero blocks sit below eps
+    vhats = [BlockVector(theta.layout, np.abs(x.data)) for x in (grads[0], theta)]
     cfg = SimpleNamespace(beta1=0.9, beta2=0.999, lam=lam, eps=eps, phi=phi, momentum=0.9)
-    v = vhat if track_v else None
-    s = _LocalRound(cfg, lr, theta, m, v, vhat)
-    want = dict(theta=theta, m=m, v=v, vhat=vhat)
-    inputs = [x.data.tobytes() for x in (theta, m, vhat)]
+    group = [ClientState(i, m, vhat) for i, vhat in enumerate(vhats)]
+    s = _LocalRound(cfg, lr, theta, group, track_v)
+    wants = [dict(theta=theta, m=m, v=vhat if track_v else None, vhat=vhat) for vhat in vhats]
+    inputs = [x.data.tobytes() for x in (theta, m, *vhats)]
     rule_fn = getattr(_LocalRound, rule)
     for g in grads:
-        rule_fn(s, g.data)
-        kernel_chain(rule, want, g, cfg, lr)
-        assert np.array_equal(s.theta, want["theta"].data)
-    if rule in ("amsgrad", "lamb"):
-        assert np.array_equal(s.m, want["m"].data)
-        assert np.array_equal(s.denom, np.sqrt(np.maximum(want["vhat"].data, eps)))
-        assert track_v == (s.v is not None) and (not track_v or np.array_equal(s.v, want["v"].data))
-    if rule == "momentum_sgd":
-        assert np.array_equal(s.m, want["m"].data)
-    assert [x.data.tobytes() for x in (theta, m, vhat)] == inputs
+        rule_fn(s, np.stack([g.data, g.data]))
+        for k, want in enumerate(wants):
+            kernel_chain(rule, want, g, cfg, lr)
+            assert np.array_equal(s.theta[k], want["theta"].data)
+    for k, want in enumerate(wants):
+        if rule in ("amsgrad", "lamb"):
+            assert np.array_equal(s.m[k], want["m"].data)
+            assert np.array_equal(s.denom[k], np.sqrt(np.maximum(want["vhat"].data, eps)))
+            assert track_v == (s.v is not None) and (not track_v or np.array_equal(s.v[k], want["v"].data))
+        if rule == "momentum_sgd":
+            assert np.array_equal(s.m[k], want["m"].data)
+    assert [x.data.tobytes() for x in (theta, m, *vhats)] == inputs
