@@ -11,7 +11,6 @@ ratios, per-layer norms) act on the views.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,13 +113,6 @@ def dot(a: np.ndarray, b: np.ndarray):
     for lo in range(_DOT_CHUNK, n, _DOT_CHUNK):
         total = total + f(a[..., lo : lo + _DOT_CHUNK], b[..., lo : lo + _DOT_CHUNK])
     return total
-
-
-def block_norms(x: BlockVector) -> np.ndarray:
-    """Euclidean norm of every block, in block order: sqrt(dot(b, b)) per view.
-    Not np.add.reduceat over the squares: its pairwise summation moves the
-    norms by ulps."""
-    return np.array([math.sqrt(dot(b, b)) for b in x.blocks])
 
 
 def ew_max(a: BlockVector, b: BlockVector) -> BlockVector:

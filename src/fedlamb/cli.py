@@ -6,20 +6,11 @@ import sys
 
 import click
 
-from .config import ExperimentConfig, parse_config
+from .config import parse_config
 from .runner import compare_protocols, grid_sweep, run_experiment
 
 # printed as "Error: ..." with exit code 1; a diverged run raises FloatingPointError
 _REPORTED = (ValueError, FloatingPointError, OSError)
-
-
-def _load(path, seed, repeat) -> ExperimentConfig:
-    cfg = parse_config(path)
-    if seed is not None:
-        cfg.seed = seed
-    if repeat is not None:
-        cfg.repeat = repeat
-    return cfg.validate()
 
 
 @click.group()
@@ -36,7 +27,7 @@ def main():
 def run(config, seed, out, repeat, quiet):
     """Run one experiment and write per-round metrics."""
     try:
-        cfg = _load(config, seed, repeat)
+        cfg = parse_config(config, seed=seed, repeat=repeat)
         log = None if quiet else click.echo
         summary = run_experiment(cfg, out=out, log=log)
     except _REPORTED as exc:
@@ -58,7 +49,7 @@ def sweep(config, grid, seed, out, repeat):
     """Sweep the learning rate over GRID (comma-separated, or 'default'
     for the built-in per-protocol grid)."""
     try:
-        cfg = _load(config, seed, repeat)
+        cfg = parse_config(config, seed=seed, repeat=repeat)
         values = None if grid == "default" else [float(v) for v in grid.split(",")]
         rows = grid_sweep(cfg, grid=values, out_dir=out)
     except _REPORTED as exc:
@@ -80,7 +71,7 @@ def sweep(config, grid, seed, out, repeat):
 def compare(configs, target, seed, out):
     """Compare protocols on identical data, model and initialization."""
     try:
-        cfgs = [_load(path, seed, None) for path in configs]
+        cfgs = [parse_config(path, seed=seed) for path in configs]
         table = compare_protocols(cfgs, target=target, out=out)
     except _REPORTED as exc:
         raise click.ClickException(str(exc))

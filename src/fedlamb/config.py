@@ -5,13 +5,16 @@ whitespace starts a comment. Lists are comma-separated. The full schema
 with defaults is ExperimentConfig below: the keys only the file has, plus
 the run settings it shares with the engine, declared once in
 federation.RunSettings. The README documents every key.
+
+Every value is checked by one rule table, and a rejected value names the
+`path:line` that set its key, or `path` alone for a default or an override.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .federation import RunSettings
 from .models import ModelSpec
@@ -20,6 +23,11 @@ from .optim import IDENTITY, RangeError, ScalingFn, check_ranges, clipped
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate."""
+
+
+def _each(keys, rule, test):
+    """One (key, rule, test) per key, each testing that key's value."""
+    return tuple((key, rule, lambda c, key=key: test(getattr(c, key))) for key in keys)
 
 
 @dataclass
@@ -50,30 +58,30 @@ class ExperimentConfig(RunSettings):
     repeat: int = 1
     out: str = ""
 
-    def validate(self):
-        """Checks the keys only the file has, then applies the shared settings'
-        RULES and builds the model spec, whose rules name any other key out of range."""
-        for key in _FLOAT_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"key '{key}': must be finite")
-        if self.data not in ("blobs", "csv"):
-            raise ConfigError(f"key 'data': must be 'blobs' or 'csv'")
-        if self.data == "csv" and not (self.csv_train and self.csv_test):
-            raise ConfigError("key 'csv_train'/'csv_test': required when data = csv")
-        for key in ("n_clients", "rounds", "classes", "repeat", "classes_per_client",
-                    "train_per_class", "test_per_class"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"key '{key}': must be >= 1")
-        if self.data == "blobs" and self.classes < 2:
-            raise ConfigError("key 'classes': blobs need at least two classes")
-        if self.data == "blobs" and self.input_dim < self.classes:
-            raise ConfigError("key 'input_dim': blobs need input_dim >= classes")
+    # (key, rule, test) for the keys only the file has, in RULES's form;
+    # validate applies them after every float's finiteness and before RULES
+    FILE_RULES = (
+        ("data", "must be 'blobs' or 'csv'", lambda c: c.data in ("blobs", "csv")),
+        ("csv_train", "required when data = csv", lambda c: c.data != "csv" or c.csv_train),
+        ("csv_test", "required when data = csv", lambda c: c.data != "csv" or c.csv_test),
+        *_each(("n_clients", "rounds", "classes", "repeat", "classes_per_client",
+                "train_per_class", "test_per_class"), "must be >= 1", lambda v: v >= 1),
+        ("classes", "must be >= 2 for blobs", lambda c: c.data != "blobs" or c.classes >= 2),
+        ("input_dim", "must be >= classes for blobs",
+         lambda c: c.data != "blobs" or c.input_dim >= c.classes),
+    )
+
+    def validate(self, path, lines):
+        """Applies every rule: the file's own, the shared RULES, the model spec's,
+        then phi's. The first value out of range is rejected here, naming
+        `path:line` from `lines` (key -> line that set it) or `path` alone."""
         try:
-            check_ranges(self, self.RULES)
+            check_ranges(self, _RULES)
             self.model_spec()
+            self.scaling_fn()
         except RangeError as exc:
-            raise ConfigError(f"key {exc.key!r}: {exc}") from exc
-        self.scaling_fn()  # validates phi syntax
+            where = f"{path}:{lines[exc.key]}" if exc.key in lines else path
+            raise ConfigError(f"{where}: key {exc.key!r}: {exc}") from exc
         return self
 
     def model_spec(self) -> ModelSpec:
@@ -83,45 +91,45 @@ class ExperimentConfig(RunSettings):
     def scaling_fn(self) -> ScalingFn:
         if self.phi == "identity":
             return IDENTITY
-        if self.phi.startswith("clipped:"):
-            parts = self.phi.split(":")
-            if len(parts) != 3:
-                raise ConfigError("key 'phi': expected 'clipped:<lo>:<hi>'")
-            try:
-                return clipped(float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise ConfigError(f"key 'phi': {exc}") from exc
-        raise ConfigError(f"key 'phi': unknown scaling {self.phi!r}")
+        kind, *bounds = self.phi.split(":")
+        if kind != "clipped" or len(bounds) != 2:
+            raise RangeError("phi", "must be 'identity' or 'clipped:<lo>:<hi>'")
+        try:
+            return clipped(float(bounds[0]), float(bounds[1]))
+        except ValueError as exc:
+            raise RangeError("phi", f"has bad bounds: {exc}") from exc
 
 
 # each key's type, from the field annotations (strings, under postponed evaluation)
 _TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _INT_TUPLE_KEYS = {key for key, t in _TYPES.items() if t == "tuple[int, ...]"}
 _BOOL_KEYS = {key for key, t in _TYPES.items() if t == "bool"}
-_FLOAT_KEYS = tuple(key for key, t in _TYPES.items() if t == "float")
+_RULES = (
+    *_each([key for key, t in _TYPES.items() if t == "float"], "must be finite", math.isfinite),
+    *ExperimentConfig.FILE_RULES,
+    *RunSettings.RULES,
+)
 # A comment starts at a `#` that begins the line or follows whitespace.
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    try:
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(p) for p in raw.split(",") if p.strip()) if raw else ()
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return {"int": int, "float": float}.get(_TYPES[key], str)(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from exc
+    if key in _INT_TUPLE_KEYS:
+        return tuple(int(p) for p in raw.split(",") if p.strip()) if raw else ()
+    if key in _BOOL_KEYS:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    return {"int": int, "float": float}.get(_TYPES[key], str)(raw)
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a key=value config file."""
-    cfg = ExperimentConfig()
+def parse_config(path, **overrides) -> ExperimentConfig:
+    """Parse a key=value config file, apply the overrides that are not None
+    (command-line values, which have no line) and validate the result once."""
+    cfg, lines = ExperimentConfig(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = _COMMENT.split(line, 1)[0].strip()
@@ -132,8 +140,14 @@ def parse_config(path) -> ExperimentConfig:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(cfg, key, _parse_value(key, raw))
-    return cfg.validate()
+            try:
+                setattr(cfg, key, _parse_value(key, raw))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+            lines[key] = lineno
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    lines = {key: lineno for key, lineno in lines.items() if key not in overrides}
+    return replace(cfg, **overrides).validate(path, lines)
 
 
 def write_config(cfg: ExperimentConfig, path):

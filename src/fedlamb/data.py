@@ -8,7 +8,6 @@ model pass reads (a minibatch, a shard, a split) is a read-only `Dataset`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,14 +120,6 @@ def load_csv(path, d: int, k: int) -> Dataset:
     return Dataset(_frozen(features), _frozen(np.array(labels, dtype=np.intp)), k)
 
 
-def write_csv(dataset: Dataset, path):
-    """Inverse of load_csv; floats use shortest round-trip formatting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row, label in zip(dataset.features, dataset.labels):
-            fields = [repr(float(x)) for x in row] + [str(int(label))]
-            fh.write(",".join(fields) + "\n")
-
-
 def gen_blobs(
     k: int, d: int, per_class: int, separation: float, noise: float, seed: int
 ) -> Dataset:
@@ -212,30 +203,9 @@ def partition_label_shards(
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class Batches(Sequence):
-    """One local epoch of a shard: `order`, its sample positions in the parent
-    dataset in epoch order, cut into consecutive batches of `size` (the last may
-    be short). A batch is gathered as a read-only Dataset when it is read."""
-
-    dataset: Dataset
-    order: np.ndarray
-    size: int
-
-    def __len__(self) -> int:
-        return -(-self.order.size // self.size)
-
-    def __getitem__(self, i: int) -> Dataset:
-        lo = range(0, self.order.size, self.size)[i]
-        return self.dataset.take(self.order[lo : lo + self.size])
-
-
-def minibatch_stream(
-    dataset: Dataset, shard: ClientShard, batch_size: int, epoch: int, seed: int
-) -> Batches:
-    """One local epoch: a fresh seed-and-epoch-keyed permutation of the
-    shard cut into read-only batches, with a final short batch if needed."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+def minibatch_stream(shard: ClientShard, epoch: int, seed: int) -> np.ndarray:
+    """One local epoch of a shard: its sample positions in the parent dataset
+    in a fresh seed-and-epoch-keyed order, which the caller cuts into
+    consecutive minibatches (the last may be short)."""
     perm = np.random.default_rng([_BATCH_TAG, seed, epoch]).permutation(len(shard))
-    return Batches(dataset, shard.indices[perm], batch_size)
+    return shard.indices[perm]

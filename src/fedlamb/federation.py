@@ -53,7 +53,6 @@ TABLE = {
     "mime-lamb": Protocol("lamb", "full_grad_v", ("gradient",), vhat=True),
 }
 PROTOCOLS = tuple(TABLE)
-ADAPTIVE = frozenset(name for name, proto in TABLE.items() if proto.vhat)
 
 _SAMPLE_TAG = 0x5E1
 # Floats one (K, p) buffer of a lockstep group may hold: groups are cut to
@@ -294,8 +293,7 @@ def local_round(
     step = 0
     for e in range(T):
         epoch_id = (r - 1) * T + e
-        orders = np.stack([minibatch_stream(cfg.train, shard, cfg.batch_size, epoch_id, cfg.seed).order
-                           for shard in shards])
+        orders = np.stack([minibatch_stream(shard, epoch_id, cfg.seed) for shard in shards])
         for lo in range(0, orders.shape[1], cfg.batch_size):
             step += 1
             try:

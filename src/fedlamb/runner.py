@@ -190,11 +190,11 @@ def compare_protocols(
     """Run several configs sharing data, model and seed; produce an aligned
     per-round accuracy table plus rounds-to-target-accuracy columns."""
     base = configs[0]
+    # the keys the file adds to the run settings, bar phi and run control, and the seed
+    skip = {f.name for f in fields(RunSettings)} | {"phi", "repeat", "out"}
+    keys = [f.name for f in fields(ExperimentConfig) if f.name not in skip] + ["seed"]
     for other in configs[1:]:
-        for key in ("data", "csv_train", "csv_test", "model", "input_dim", "hidden",
-                    "classes", "activation", "seed", "rounds", "n_clients",
-                    "train_per_class", "test_per_class", "separation", "noise",
-                    "iid", "classes_per_client", "reshard_each_round"):
+        for key in keys:
             if getattr(other, key) != getattr(base, key):
                 raise ConfigError(
                     f"compare requires matching data/model/seed; key {key!r} differs"

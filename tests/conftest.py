@@ -5,7 +5,9 @@ so wrapping those names sees every call without any option in the engine."""
 import pytest
 
 from fedlamb import federation
-from fedlamb.blocks import BlockVector, block_norms
+from fedlamb.blocks import BlockVector
+
+from helpers import block_norms
 
 
 @pytest.fixture

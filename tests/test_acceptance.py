@@ -16,7 +16,7 @@ import numpy as np
 from fedlamb import blocks, federation
 from fedlamb.blocks import BlockVector, lin_comb, norm_sq
 from fedlamb.config import ExperimentConfig
-from fedlamb.data import ClientShard, Dataset, gen_blobs, minibatch_stream, partition_iid
+from fedlamb.data import ClientShard, Dataset, gen_blobs, partition_iid
 from fedlamb.federation import (
     PROTOCOLS,
     RunConfig,
@@ -30,6 +30,7 @@ from fedlamb.optim import IDENTITY, amsgrad_step, denominator, lamb_step, moment
 from fedlamb.runner import run_experiment, run_single, rounds_to_target
 
 import oracles
+from helpers import epoch_batches
 
 SMALL_SPEC = ModelSpec("mlp", input_dim=4, hidden=(6,), classes=3)
 
@@ -191,7 +192,7 @@ def test_criterion_4_reduction_identity():
         )
         batch_seq = []
         for r in range(1, 101):
-            batch_seq.extend(minibatch_stream(train, shard, cfg.batch_size, r - 1, cfg.seed))
+            batch_seq.extend(epoch_batches(train, shard, cfg.batch_size, r - 1, cfg.seed))
         server, clients = init_run(cfg)
         if protocol == "fed-lamb":
             want = oracles.reference_lamb_single(

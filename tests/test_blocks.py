@@ -4,7 +4,6 @@ import pytest
 from fedlamb.blocks import (
     BlockVector,
     CongruenceError,
-    block_norms,
     ew_max,
     lin_comb,
     mean,
@@ -14,6 +13,7 @@ from fedlamb.blocks import (
 )
 
 import oracles
+from helpers import block_norms
 
 
 def bv(*pairs):

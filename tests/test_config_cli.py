@@ -142,11 +142,18 @@ class TestParseConfig:
         ("protocol = adp-fed\neta_global = inf", "eta_global"),
         ("eps = inf", "eps"),
         ("lr_factor = inf", "lr_factor"),
+        ("alpha = fast", "alpha"),
+        ("protocol = adp-fed", "eta_global"),
     ])
     def test_engine_range_rules_name_the_key(self, tmp_path, line, key):
-        path = write(tmp_path, MINIMAL + line + "\n")
-        with pytest.raises(ConfigError, match=f"key '{key}'"):
+        text = MINIMAL + line + "\n"
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=f"key '{key}'") as info:
             parse_config(path)
+        # the last line that sets the key, or the file alone for a key left at its default
+        setting = [n for n, s in enumerate(text.splitlines(), start=1) if s.split("=")[0].strip() == key]
+        where = f"{path}:{setting[-1]}" if setting else str(path)
+        assert str(info.value).startswith(f"{where}: key '{key}': ")
 
     def test_parser_and_run_config_share_the_range_rules(self, tmp_path):
         # one out-of-range value per rule in RunConfig's list, on an adp-fed run so
@@ -390,6 +397,15 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", str(path), "--seed", "-1", "--quiet"])
         assert result.exit_code != 0
         assert "key 'seed'" in result.output
+        # an override has no line: the file alone is named, though the file sets seed too
+        assert f"Error: {path}: key 'seed': " in result.output
+
+    def test_run_rejected_value_names_file_and_line(self, tmp_path):
+        lines = MINIMAL.splitlines()
+        path = write(tmp_path, "\n".join(lines[:4] + ["alpha = fast"] + lines[4:]) + "\n")
+        result = CliRunner().invoke(main, ["run", str(path), "--quiet"])
+        assert result.exit_code == 1
+        assert f"Error: {path}:5: key 'alpha': could not convert string to float: 'fast'" in result.output
 
     def test_run_invalid_config_nonzero_exit(self, tmp_path):
         path = write(tmp_path, MINIMAL + "participation = 0\n")

@@ -9,11 +9,11 @@ from fedlamb.data import (
     PartitionError,
     gen_blobs,
     load_csv,
-    minibatch_stream,
     partition_iid,
     partition_label_shards,
-    write_csv,
 )
+
+from helpers import epoch_batches, write_csv
 
 
 class TestLoadCsv:
@@ -212,11 +212,11 @@ class TestMinibatchStream:
         return Dataset(np.arange(n, dtype=float).reshape(n, 1), np.zeros(n, dtype=int), 2)
 
     def test_remainder_batch(self):
-        batches = minibatch_stream(self._data(5), self._shard(5), 2, epoch=0, seed=0)
+        batches = epoch_batches(self._data(5), self._shard(5), 2, epoch=0, seed=0)
         assert [b.n for b in batches] == [2, 2, 1]
 
     def test_batches_are_read_only_datasets(self):
-        for batch in minibatch_stream(self._data(5), self._shard(5), 2, epoch=0, seed=0):
+        for batch in epoch_batches(self._data(5), self._shard(5), 2, epoch=0, seed=0):
             assert isinstance(batch, Dataset) and batch.classes == 2
             with pytest.raises(ValueError, match="read-only"):
                 batch.features[0, 0] = 1.0
@@ -224,23 +224,23 @@ class TestMinibatchStream:
                 batch.labels[0] = 1
 
     def test_full_batch_mode(self):
-        batches = minibatch_stream(self._data(4), self._shard(4), 10, epoch=0, seed=0)
+        batches = epoch_batches(self._data(4), self._shard(4), 10, epoch=0, seed=0)
         assert len(batches) == 1 and batches[0].n == 4
 
     def test_replay_and_epoch_keying(self):
         ds, sh = self._data(16), self._shard(16)
-        a = minibatch_stream(ds, sh, 4, epoch=3, seed=1)
-        b = minibatch_stream(ds, sh, 4, epoch=3, seed=1)
+        a = epoch_batches(ds, sh, 4, epoch=3, seed=1)
+        b = epoch_batches(ds, sh, 4, epoch=3, seed=1)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
-        c = minibatch_stream(ds, sh, 4, epoch=4, seed=1)
+        c = epoch_batches(ds, sh, 4, epoch=4, seed=1)
         assert any(
             not np.array_equal(x.features, y.features) for x, y in zip(a, c)
         )
 
     def test_visits_every_index_once(self):
         ds, sh = self._data(13), self._shard(13)
-        batches = minibatch_stream(ds, sh, 3, epoch=0, seed=2)
+        batches = epoch_batches(ds, sh, 3, epoch=0, seed=2)
         seen = np.concatenate([b.features[:, 0] for b in batches])
         assert sorted(seen.tolist()) == list(range(13))
 

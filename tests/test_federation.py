@@ -8,7 +8,7 @@ import pytest
 
 from fedlamb import blocks, federation, models
 from fedlamb.blocks import BlockVector, lin_comb, norm_sq
-from fedlamb.data import ClientShard, Dataset, gen_blobs, minibatch_stream, partition_iid
+from fedlamb.data import ClientShard, Dataset, gen_blobs, partition_iid
 from fedlamb.federation import (
     PROTOCOLS,
     TABLE,
@@ -31,6 +31,7 @@ from fedlamb.models import ModelSpec, NumericOverflowError, backward, forward_lo
 from fedlamb.optim import clipped
 
 import oracles
+from helpers import epoch_batches
 
 
 def bv(*pairs):
@@ -213,7 +214,7 @@ class TestAdpFedServer:
                 local = [np.array(b) for b in theta]
                 for e in range(cfg.local_epochs):
                     epoch = (r - 1) * cfg.local_epochs + e
-                    for batch in minibatch_stream(cfg.train, shard, cfg.batch_size, epoch, cfg.seed):
+                    for batch in epoch_batches(cfg.train, shard, cfg.batch_size, epoch, cfg.seed):
                         cur = BlockVector.of(zip(server.params.names, (np.array(b) for b in local)))
                         g = backward(cfg.spec, cur, batch)
                         local = [p - cfg.alpha * gb for p, gb in zip(local, g.blocks)]
@@ -679,7 +680,7 @@ class TestReductionIdentity:
         )
         batch_seq = []
         for r in range(1, rounds + 1):
-            batch_seq.extend(minibatch_stream(train, shard, cfg.batch_size, r - 1, cfg.seed))
+            batch_seq.extend(epoch_batches(train, shard, cfg.batch_size, r - 1, cfg.seed))
         return cfg, batch_seq
 
     def test_fed_lamb_matches_single_machine(self):

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedlamb.blocks import BlockVector, block_norms, ew_max, lin_comb, mean, ratio_div, square
+from fedlamb.blocks import BlockVector, ew_max, lin_comb, mean, ratio_div, square
 from fedlamb.federation import ClientState, _LocalRound
 from fedlamb.optim import IDENTITY, clipped, lamb_step
+
+from helpers import block_norms
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
