@@ -51,6 +51,8 @@ def sweep(config, grid, seed, out, repeat):
     try:
         cfg = parse_config(config, seed=seed, repeat=repeat)
         values = None if grid == "default" else [float(v) for v in grid.split(",")]
+        for value in values or ():  # each rate meets the file's rule table before any trial runs
+            parse_config(config, seed=seed, repeat=repeat, alpha=value)
         rows = grid_sweep(cfg, grid=values, out_dir=out)
     except _REPORTED as exc:
         raise click.ClickException(str(exc))

@@ -203,9 +203,12 @@ def partition_label_shards(
     ]
 
 
-def minibatch_stream(shard: ClientShard, epoch: int, seed: int) -> np.ndarray:
-    """One local epoch of a shard: its sample positions in the parent dataset
-    in a fresh seed-and-epoch-keyed order, which the caller cuts into
-    consecutive minibatches (the last may be short)."""
+def minibatch_stream(shard: ClientShard, epoch: int, seed: int, batch_size: int) -> np.ndarray:
+    """One local epoch of a shard: its sample positions in the parent dataset,
+    which the caller cuts into consecutive minibatches of `batch_size` (the
+    last may be short), in a fresh seed-and-epoch-keyed order. An epoch that
+    is one batch keeps the shard's stored order, as its full-shard gradient does."""
+    if batch_size >= len(shard):
+        return shard.indices
     perm = np.random.default_rng([_BATCH_TAG, seed, epoch]).permutation(len(shard))
     return shard.indices[perm]

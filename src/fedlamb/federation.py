@@ -270,30 +270,35 @@ def local_round(
     cfg: RunConfig,
     r: int,
     alpha_r: float,
+    denoms: dict | None = None,
 ) -> list[LocalResult]:
     """One lockstep group's local training for round r: T epochs of the
     protocol's local step rule from the broadcast model, each client against
     its own v-hat, all clients stepping at once. The group's shards have one
     size. Returns, per client, exactly the payloads the protocol uploads;
-    carried buffers stay on the clients."""
+    carried buffers stay on the clients. `denoms` holds each v-hat's
+    denominator by id for the round's groups to share."""
     proto = TABLE[cfg.protocol]
     T = cfg.local_epochs
     shards = [cfg.shards[c.client_id] for c in group]
-    results = [LocalResult(client_id=c.client_id, params=theta_bar, grad_evals=T * len(shard))
+    uploads_grad = "gradient" in proto.uplink  # charged as one more pass over the shard
+    one_batch = cfg.batch_size >= len(shards[0])  # then step 1 is a pass over the shard at theta_bar
+    results = [LocalResult(client_id=c.client_id, params=theta_bar, grad_evals=(T + uploads_grad) * len(shard))
                for c, shard in zip(group, shards)]
-    if "gradient" in proto.uplink:
+    if uploads_grad and not one_batch:
         for res, shard in zip(results, shards):
-            shard_data = shard.view(cfg.train)
-            _, res.full_grad = full_gradient(cfg.spec, theta_bar, shard_data)
-            res.grad_evals += shard_data.n
+            try:
+                _, res.full_grad = full_gradient(cfg.spec, theta_bar, shard.view(cfg.train))
+            except NumericOverflowError as exc:
+                raise NumericOverflowError(f"client {res.client_id}, full-shard gradient: {exc}") from exc
 
-    s = _LocalRound(cfg, alpha_r, theta_bar, group, track_v="moment" in proto.uplink)
+    s = _LocalRound(cfg, alpha_r, theta_bar, group, "moment" in proto.uplink, denoms)
     stack = Stack(cfg.spec, s.layout, s.theta)
     rule = getattr(_LocalRound, proto.local)
     step = 0
     for e in range(T):
         epoch_id = (r - 1) * T + e
-        orders = np.stack([minibatch_stream(shard, epoch_id, cfg.seed) for shard in shards])
+        orders = np.stack([minibatch_stream(shard, epoch_id, cfg.seed, cfg.batch_size) for shard in shards])
         for lo in range(0, orders.shape[1], cfg.batch_size):
             step += 1
             try:
@@ -301,6 +306,9 @@ def local_round(
             except NumericOverflowError as exc:
                 first = min(group[k].client_id for k in exc.rows)
                 raise NumericOverflowError(f"client {first}, local step {step}: {exc}") from exc
+            if uploads_grad and one_batch and step == 1:  # copied before the rule overwrites g
+                for res, row in zip(results, g.copy()):
+                    res.full_grad = BlockVector(s.layout, row)
             rule(s, g)
 
     for k, (client, res) in enumerate(zip(group, results)):
@@ -318,9 +326,8 @@ class _LocalRound:
     from the broadcast read-only vectors and updated in place by every step;
     local_round hands out their rows at round end."""
 
-    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], track_v: bool):
+    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], track_v: bool, denoms: dict | None = None):
         self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
-        shape = (len(group), theta_bar.dim)
 
         def rows(vectors):  # np.array copies a little faster than np.stack
             return None if vectors[0] is None else np.array([x.data for x in vectors])
@@ -329,13 +336,19 @@ class _LocalRound:
         self.theta = rows([theta_bar] * len(group))
         self.m = rows([c.m for c in group])
         self.v = rows([c.vhat for c in group]) if track_v else None
-        # sqrt(max(v-hat, eps)) per client, the scale the adaptive steps divide by
+        # sqrt(max(v-hat, eps)), the scale the adaptive steps divide by, computed
+        # read-only once per v-hat into `denoms` by id (clients hold theirs all round);
+        # a group that shares one divides by a (1, p) row, fed-ams raises its own copy
         self.denom = None
         if group[0].vhat is not None:
-            self.denom = np.empty(shape)
-            for row, c in zip(self.denom, group):
-                denominator(c.vhat.data, cfg.eps, out=row)
-        self.tmp = np.empty(shape)
+            denoms = {} if denoms is None else denoms
+            for c in group:
+                if id(c.vhat) not in denoms:
+                    d = denoms[id(c.vhat)] = denominator(c.vhat.data, cfg.eps, out=np.empty(theta_bar.dim))
+                    d.flags.writeable = False
+            ds = [denoms[id(c.vhat)] for c in group]
+            self.denom = ds[0][None] if not track_v and all(d is ds[0] for d in ds) else np.array(ds)
+        self.tmp = np.empty_like(self.theta)
 
     def sgd(self, g: np.ndarray) -> None:
         sgd_step(self.theta, g, self.lr, tmp=self.tmp)
@@ -445,9 +458,9 @@ def run_round(
                 clients[i].vhat = server.vhat
 
         alpha_r = milestone_lr(cfg.alpha, r, cfg.milestones, cfg.lr_factor)
-        results = []
+        results, denoms = [], {}
         for group in _lockstep_groups(ids, cfg.shards, server.params.dim):
-            results += local_round([clients[i] for i in group], server.params, cfg, r, alpha_r)
+            results += local_round([clients[i] for i in group], server.params, cfg, r, alpha_r, denoms)
         results.sort(key=lambda res: res.client_id)
         getattr(server, proto.server)(results, cfg, gate)
         server.round_index = r

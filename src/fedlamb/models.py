@@ -165,8 +165,9 @@ def _stack_forward(spec: ModelSpec, params: BlockVector | Stack, X: np.ndarray):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _forward(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset):

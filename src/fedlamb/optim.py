@@ -118,8 +118,10 @@ def lamb_step(theta, psi, alpha: float, lam: float, phi: ScalingFn, *, layout: L
     (|theta|, |u|) pair each block's coefficient came from: a list per block
     for a vector, one such list per row for a stack.
     """
-    np.multiply(theta, lam, out=tmp)
-    u = np.add(psi, tmp, out=psi)
+    u = psi
+    if lam:  # u = psi + 0*theta differs from psi only in the sign of zeros, which theta - c*u drops
+        np.multiply(theta, lam, out=tmp)
+        np.add(psi, tmp, out=psi)
     L = len(layout.slices)
     norms = np.sqrt([dot(x[..., s], x[..., s]) for x in (theta, u) for s in layout.slices])
     pairs = [list(zip(row[:L], row[L:])) for row in norms.reshape(2 * L, -1).T.tolist()]

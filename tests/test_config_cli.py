@@ -431,6 +431,15 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output.count("best_acc=") == 2
 
+    @pytest.mark.parametrize("rate,rule", [("0", "alpha must be positive"), ("inf", "alpha must be finite")])
+    def test_sweep_checks_every_rate_before_any_trial(self, tmp_path, rate, rule):
+        path, out = write(tmp_path, SMALL), tmp_path / "sw"
+        result = CliRunner().invoke(main, ["sweep", str(path), f"0.05,{rate}", "--out", str(out)])
+        assert result.exit_code == 1
+        # a command-line value has no line: the file alone is named
+        assert f"Error: {path}: key 'alpha': {rule}" in result.output
+        assert not out.exists()
+
     def test_compare_command(self, tmp_path):
         a = write(tmp_path, SMALL)
         b = write(tmp_path, SMALL.replace("fed-lamb", "fed-sgd"), name="b.cfg")

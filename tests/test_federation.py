@@ -261,6 +261,24 @@ class TestLocalRound:
         for a, b in zip(res.full_grad.blocks, want.blocks):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("size", (1, 3))
+    @pytest.mark.parametrize("proto", ("mime", "mime-lamb"))
+    def test_one_batch_mime_uploads_its_first_step_gradient(self, proto, size, monkeypatch):
+        # shards of 24 rows in batches of 24: each upload is the client's row of
+        # the first step's gradient, bit for bit full_gradient's over the shard,
+        # and no separate shard pass runs; the ledger still charges it
+        cfg = make_cfg(proto, n=3, batch_size=24, local_epochs=2)
+        server, clients = init_run(cfg)
+        full, calls = federation.full_gradient, []
+        monkeypatch.setattr(federation, "full_gradient", lambda *args: calls.append(args) or full(*args))
+        results = local_round(clients[:size], server.params, cfg, 1, 0.01)
+        assert not calls
+        for res, client in zip(results, clients):
+            shard = cfg.shards[client.client_id]
+            _, want = full(cfg.spec, server.params, shard.view(cfg.train))
+            assert np.array_equal(res.full_grad.data, want.data)
+            assert res.grad_evals == cfg.local_epochs * len(shard) + len(shard)
+
 
 class TestLazySync:
     def test_period_one_always_open(self):
@@ -598,28 +616,29 @@ class TestLockstepGroups:
     are grouped, and in which order, moves no bit."""
 
     @staticmethod
-    def _uneven_cfg(proto):
+    def _uneven_cfg(proto, batch_size):
         # 5000 IID rows over 7 clients: shards of 715 and 714 rows; with half of
         # them sampled and v-hat synced every other round, the rows of one group
-        # carry different v-hats
+        # carry different v-hats. A batch of 1000 makes every epoch one batch.
         train = gen_blobs(10, 20, per_class=500, separation=6.0, noise=1.5, seed=3)
         test = gen_blobs(10, 20, per_class=20, separation=6.0, noise=1.5, seed=4)
         kw = dict(eta_global=0.01) if proto == "adp-fed" else {}
         return RunConfig(
             protocol=proto, spec=ModelSpec("mlp", input_dim=20, hidden=(16,), classes=10),
             train=train, test=test, shards=partition_iid(train, 7, seed=3), alpha=0.01,
-            batch_size=128, participation=0.5, lazy_period=2, seed=3, **kw,
+            batch_size=batch_size, participation=0.5, lazy_period=2, seed=3, **kw,
         )
 
     @classmethod
-    def _run(cls, proto, rounds=5):
-        cfg = cls._uneven_cfg(proto)
+    def _run(cls, proto, batch_size, rounds=5):
+        cfg = cls._uneven_cfg(proto, batch_size)
         server, clients = init_run(cfg)
         rows = [dataclasses.replace(run_round(server, clients, cfg)[0], wall_time=0.0) for _ in range(rounds)]
         return rows, [x.data.tobytes() for x in (server.params, server.vhat) if x is not None]
 
-    @pytest.mark.parametrize("proto", PROTOCOLS)
-    def test_grouping_moves_no_bit(self, proto, monkeypatch):
+    @pytest.mark.parametrize("proto,batch_size", [*((p, 128) for p in PROTOCOLS), ("mime-lamb", 1000)],
+                             ids=[*PROTOCOLS, "mime-lamb-one-batch"])
+    def test_grouping_moves_no_bit(self, proto, batch_size, monkeypatch):
         local, groups = federation.local_round, []
 
         def spy(group, *args):
@@ -627,18 +646,18 @@ class TestLockstepGroups:
             return local(group, *args)
 
         monkeypatch.setattr(federation, "local_round", spy)
-        default = self._run(proto)
+        default = self._run(proto, batch_size)
         assert any(len({id(c.vhat) for c in g}) > 1 for g in groups) == TABLE[proto].vhat
         assert max(map(len, groups)) > 1
         monkeypatch.undo()
 
         monkeypatch.setattr(federation, "_STACK_FLOATS", 1)
-        assert self._run(proto) == default  # every group one client
+        assert self._run(proto, batch_size) == default  # every group one client
         monkeypatch.undo()
 
         ascending = federation.sample_clients
         monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::-1])
-        assert self._run(proto) == default
+        assert self._run(proto, batch_size) == default
 
     def test_groups_split_by_shard_size_and_cut_at_the_stack_bound(self):
         shards = [ClientShard(i, np.arange(n)) for i, n in enumerate((3, 4, 3, 3, 4, 3))]
@@ -663,6 +682,26 @@ class TestLockstepGroups:
         assert type(local) is NumericOverflowError
         assert str(local.__cause__) == "non-finite activations at block 'W1'"
         assert local.__cause__.rows == (1,)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("proto,batch_size,where", [
+        ("mime", 4, "full-shard gradient"),  # the separate pass of a shard that takes two batches
+        ("mime-lamb", 8, "local step 1"),    # a one-batch shard's pass is its first step
+    ])
+    def test_mime_overflow_names_client_and_pass(self, proto, batch_size, where):
+        features = np.ones((16, 4))
+        features[8:] = np.inf
+        train = Dataset(features, np.arange(16) % 3, 3)
+        shards = [ClientShard(0, np.arange(8)), ClientShard(1, np.arange(8, 16))]
+        cfg = RunConfig(protocol=proto, spec=SPEC, train=train, test=train, shards=shards,
+                        batch_size=batch_size, seed=0)
+        server, clients = init_run(cfg)
+        with pytest.raises(NumericOverflowError) as info:
+            run_round(server, clients, cfg)
+        assert str(info.value) == f"round 1: client 1, {where}: non-finite activations at block 'W1'"
+        local = info.value.__cause__
+        assert type(local) is NumericOverflowError
+        assert str(local.__cause__) == "non-finite activations at block 'W1'"
 
 
 class TestReductionIdentity:

@@ -139,6 +139,26 @@ def test_lamb_step(xs, data, alpha, lam, phi):
                      for t, p in zip(theta.blocks, psi.blocks)]
 
 
+@SETTINGS
+@given(vectors(2), st.data(), st.floats(1e-4, 1.0), PHIS)
+def test_lamb_step_without_decay_keeps_the_decay_formula_bytes(xs, data, alpha, phi):
+    """At lam = 0 the step skips lam*theta: with +0.0 and -0.0 planted in theta
+    and psi, theta' and the norms are those of the step on u = psi + 0*theta,
+    byte for byte, though u's zeros may differ in sign."""
+    theta, psi = (x.data.copy() for x in xs)
+    for x in (theta, psi):
+        planted = data.draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=x.size, max_size=x.size))
+        for i, z in enumerate(planted):
+            if z is not None:
+                x[i] = z
+    layout, tmp = xs[0].layout, np.empty(theta.size)
+    want = theta.copy()
+    want_norms = lamb_step(want, psi + theta * 0.0, alpha, 0.0, phi, layout=layout, tmp=tmp)
+    got = theta.copy()
+    assert lamb_step(got, psi.copy(), alpha, 0.0, phi, layout=layout, tmp=tmp) == want_norms
+    assert got.tobytes() == want.tobytes()
+
+
 def kernel_chain(rule, s, g, cfg, lr):
     """One step of `rule` as the pure kernels compute it, on the block vectors in `s`."""
     if rule in ("sgd", "momentum_sgd"):
