@@ -49,11 +49,8 @@ def sweep(config, grid, seed, out, repeat):
     """Sweep the learning rate over GRID (comma-separated, or 'default'
     for the built-in per-protocol grid)."""
     try:
-        cfg = parse_config(config, seed=seed, repeat=repeat)
-        values = None if grid == "default" else [float(v) for v in grid.split(",")]
-        for value in values or ():  # each rate meets the file's rule table before any trial runs
-            parse_config(config, seed=seed, repeat=repeat, alpha=value)
-        rows = grid_sweep(cfg, grid=values, out_dir=out)
+        values = None if grid == "default" else grid.split(",")
+        rows = grid_sweep(config, grid=values, out_dir=out, seed=seed, repeat=repeat)
     except _REPORTED as exc:
         raise click.ClickException(str(exc))
     for row in rows:

@@ -113,22 +113,27 @@ _RULES = (
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(where: str, key: str, raw: str):
+    """`raw` read as `key`'s type; a value that is not of it is rejected naming `where`."""
     raw = raw.strip()
-    if key in _INT_TUPLE_KEYS:
-        return tuple(int(p) for p in raw.split(",") if p.strip()) if raw else ()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    return {"int": int, "float": float}.get(_TYPES[key], str)(raw)
+    try:
+        if key in _INT_TUPLE_KEYS:
+            return tuple(int(p) for p in raw.split(",") if p.strip()) if raw else ()
+        if key in _BOOL_KEYS:
+            if raw.lower() in ("true", "1", "yes"):
+                return True
+            if raw.lower() in ("false", "0", "no"):
+                return False
+            raise ValueError(f"not a boolean: {raw!r}")
+        return {"int": int, "float": float}.get(_TYPES[key], str)(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: key {key!r}: {exc}") from exc
 
 
 def parse_config(path, **overrides) -> ExperimentConfig:
     """Parse a key=value config file, apply the overrides that are not None
-    (command-line values, which have no line) and validate the result once."""
+    (command-line values, which have no line; a string is read as the file's
+    value would be) and validate the result once."""
     cfg, lines = ExperimentConfig(), {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,12 +145,10 @@ def parse_config(path, **overrides) -> ExperimentConfig:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in _TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, _parse_value(key, raw))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+            setattr(cfg, key, _parse_value(f"{path}:{lineno}", key, raw))
             lines[key] = lineno
-    overrides = {key: value for key, value in overrides.items() if value is not None}
+    overrides = {key: _parse_value(path, key, value) if isinstance(value, str) else value
+                 for key, value in overrides.items() if value is not None}
     lines = {key: lineno for key, lineno in lines.items() if key not in overrides}
     return replace(cfg, **overrides).validate(path, lines)
 

@@ -270,7 +270,7 @@ def local_round(
     cfg: RunConfig,
     r: int,
     alpha_r: float,
-    denoms: dict | None = None,
+    denoms: dict,
 ) -> list[LocalResult]:
     """One lockstep group's local training for round r: T epochs of the
     protocol's local step rule from the broadcast model, each client against
@@ -326,7 +326,7 @@ class _LocalRound:
     from the broadcast read-only vectors and updated in place by every step;
     local_round hands out their rows at round end."""
 
-    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], track_v: bool, denoms: dict | None = None):
+    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], track_v: bool, denoms: dict):
         self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
 
         def rows(vectors):  # np.array copies a little faster than np.stack
@@ -341,7 +341,6 @@ class _LocalRound:
         # a group that shares one divides by a (1, p) row, fed-ams raises its own copy
         self.denom = None
         if group[0].vhat is not None:
-            denoms = {} if denoms is None else denoms
             for c in group:
                 if id(c.vhat) not in denoms:
                     d = denoms[id(c.vhat)] = denominator(c.vhat.data, cfg.eps, out=np.empty(theta_bar.dim))

@@ -2,24 +2,25 @@
 sweeps and cross-protocol comparisons.
 
 Metric files are CSV with a fixed column order (METRIC_COLUMNS). Every
-emitted number except wall_time is a pure function of (config, seed).
+emitted number except wall_time is a pure function of (config, seed). Every
+CSV table (metrics, sweep report, comparison) is written by _write_table.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import fields, replace
+from dataclasses import astuple, fields
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, parse_config
 from .data import Dataset, gen_blobs, load_csv, partition_iid, partition_label_shards
-from .federation import RoundMetrics, RunConfig, RunSettings, init_run, run_round
+from .federation import TABLE, RoundMetrics, RunConfig, RunSettings, init_run, run_round
 
 METRIC_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
-# Default local-rate (alpha) search grids per protocol; adp-fed crosses its
-# local grid with the global one (eta_global).
+# Default local-rate (alpha) search grids per protocol; a protocol whose server
+# rule has a rate (adam's eta_global) crosses its grid with ETA_GLOBAL_GRID.
 DEFAULT_GRIDS = {
     "fed-sgd": [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
     "fed-lamb": [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
@@ -27,8 +28,8 @@ DEFAULT_GRIDS = {
     "fed-ams": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
     "mime": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
     "adp-fed": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5],
-    "adp-fed-global": [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1],
 }
+ETA_GLOBAL_GRID = [0.0001, 0.0003, 0.0005, 0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1]
 
 
 def build_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -85,15 +86,16 @@ def run_single(cfg: ExperimentConfig, seed: int, log=None) -> list[RoundMetrics]
     return history
 
 
-def format_metric_row(m: RoundMetrics) -> str:
-    return ",".join(str(getattr(m, key)) for key in METRIC_COLUMNS)
+def _write_table(path, header, rows):
+    """A CSV table: the header, then one line per row, each value as str()
+    (for a float, the same text as repr())."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_metrics(history: list[RoundMetrics], path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(METRIC_COLUMNS) + "\n")
-        for m in history:
-            fh.write(format_metric_row(m) + "\n")
+    _write_table(path, METRIC_COLUMNS, map(astuple, history))
 
 
 def summarize(history: list[RoundMetrics]) -> dict:
@@ -144,35 +146,35 @@ def run_experiment(cfg: ExperimentConfig, out=None, log=None) -> dict:
     return summary
 
 
-def grid_sweep(cfg: ExperimentConfig, grid=None, out_dir=None, log=None) -> list[dict]:
-    """Run the base config once per local rate (alpha) in the grid; adp-fed's default
-    grid crosses each with a server rate (eta_global), an explicit one keeps the
-    config's. Returns rows ranked by best test accuracy (descending), then by
-    final train loss: linear regression's accuracy is always 0, so its
-    sweeps rank on the loss alone."""
-    out_dir = Path(out_dir or "sweep")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    adp = cfg.protocol == "adp-fed"  # the one protocol with a server rate
-    lrs = DEFAULT_GRIDS[cfg.protocol] if grid is None else grid
-    egs = DEFAULT_GRIDS["adp-fed-global"] if adp and grid is None else [cfg.eta_global]
-    trials = [replace(cfg, alpha=lr, eta_global=eg) for lr in lrs for eg in egs]
+def grid_sweep(path, grid=None, out_dir=None, **overrides) -> list[dict]:
+    """Run the config file once per local rate (alpha) in the grid, with
+    parse_config's overrides. A protocol whose server rule has a rate crosses
+    the default grid with ETA_GLOBAL_GRID; an explicit grid runs at the
+    config's eta_global. Every trial is parsed and checked before any runs.
+    Returns rows ranked by best test accuracy (descending), then by final
+    train loss: linear regression's accuracy is always 0, so its sweeps rank
+    on the loss alone."""
+    protocol = parse_config(path, **overrides).protocol
+    has_rate = TABLE[protocol].server == "adam"
+    alphas = DEFAULT_GRIDS[protocol] if grid is None else grid
+    etas = ETA_GLOBAL_GRID if has_rate and grid is None else [None]  # None keeps the config's
+    trials = [parse_config(path, **overrides, alpha=a, eta_global=g) for a in alphas for g in etas]
     if not trials:
         raise ConfigError("empty learning-rate grid")
 
+    out_dir = Path(out_dir or "sweep")
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for trial in trials:
-        lr, eg = trial.alpha, trial.eta_global if adp else None
-        tag = f"el{lr:g}_eg{eg:g}" if adp else f"lr{lr:g}"
-        summary = run_experiment(trial, out=out_dir / f"{cfg.protocol}_{tag}.csv", log=log)
+        lr, eg = trial.alpha, trial.eta_global if has_rate else None
+        tag = f"el{lr:g}_eg{eg:g}" if has_rate else f"lr{lr:g}"
+        summary = run_experiment(trial, out=out_dir / f"{protocol}_{tag}.csv")
         rows.append({"lr": lr, "eta_global": eg, **summary})
     rows.sort(key=lambda row: (-row["mean_best_test_accuracy"], row["mean_final_train_loss"]))
-    report = out_dir / f"{cfg.protocol}_sweep.csv"
     columns = ("lr", "eta_global", "mean_best_test_accuracy", "stddev_best_test_accuracy",
                "mean_final_train_loss")
-    with open(report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[key]) for key in columns) + "\n")
+    _write_table(out_dir / f"{protocol}_sweep.csv", columns,
+                 ([row[key] for key in columns] for row in rows))
     return rows
 
 
@@ -184,9 +186,7 @@ def rounds_to_target(history: list[RoundMetrics], target: float) -> float:
     return math.inf
 
 
-def compare_protocols(
-    configs: list[ExperimentConfig], target: float = 0.9, out=None, log=None
-) -> dict:
+def compare_protocols(configs: list[ExperimentConfig], target: float = 0.9, out=None) -> dict:
     """Run several configs sharing data, model and seed; produce an aligned
     per-round accuracy table plus rounds-to-target-accuracy columns."""
     base = configs[0]
@@ -203,9 +203,7 @@ def compare_protocols(
     labels = [
         p if protos.count(p) == 1 else f"{p}#{i}" for i, p in enumerate(protos)
     ]
-    histories = {}
-    for label, cfg in zip(labels, configs):
-        histories[label] = run_single(cfg, cfg.seed, log=log)
+    histories = {label: run_single(cfg, cfg.seed) for label, cfg in zip(labels, configs)}
     table = {
         "protocols": labels,
         "accuracy": {p: [m.test_accuracy for m in h] for p, h in histories.items()},
@@ -213,18 +211,9 @@ def compare_protocols(
         "target": target,
     }
     if out is not None:
-        protos = table["protocols"]
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("round," + ",".join(protos) + "\n")
-            for r in range(base.rounds):
-                fh.write(
-                    f"{r + 1},"
-                    + ",".join(repr(table["accuracy"][p][r]) for p in protos)
-                    + "\n"
-                )
-            fh.write(
-                "rounds_to_target,"
-                + ",".join(str(table["rounds_to_target"][p]) for p in protos)
-                + "\n"
-            )
+        per_round = zip(*table["accuracy"].values())
+        _write_table(out, ["round", *labels], [
+            *((r, *accs) for r, accs in enumerate(per_round, start=1)),
+            ["rounds_to_target", *table["rounds_to_target"].values()],
+        ])
     return table

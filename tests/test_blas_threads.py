@@ -17,9 +17,11 @@ TESTS = Path(__file__).resolve().parent
 # Five rounds of every protocol on the criterion-8 task at seed 7; prints each
 # CSV row without its wall_time column.
 SCRIPT = """
+from dataclasses import astuple
+
 from fedlamb.config import ExperimentConfig
 from fedlamb.federation import PROTOCOLS
-from fedlamb.runner import format_metric_row, run_single
+from fedlamb.runner import run_single
 from test_acceptance import BENCH, BENCH_LRS
 
 RATES = {"fed-sgd": {"alpha": 0.05}, "adp-fed": {"alpha": 0.05, "eta_global": 0.01},
@@ -27,7 +29,7 @@ RATES = {"fed-sgd": {"alpha": 0.05}, "adp-fed": {"alpha": 0.05, "eta_global": 0.
 for protocol in PROTOCOLS:
     cfg = ExperimentConfig(protocol=protocol, seed=7, **{**BENCH, "rounds": 5}, **RATES[protocol])
     for m in run_single(cfg, cfg.seed):
-        print(protocol, format_metric_row(m).rsplit(",", 1)[0])
+        print(protocol, ",".join(map(str, astuple(m)[:-1])))
 """
 
 # Five rounds of mime-lamb on a wide MLP 30-1000-10: the hidden layer's fan-in
@@ -36,14 +38,16 @@ for protocol in PROTOCOLS:
 # Not covered: widths whose output columns OpenBLAS splits into pieces that take
 # different kernels (300 and 700 were measured) still differ at 2 threads.
 WIDE_SCRIPT = """
+from dataclasses import astuple
+
 from fedlamb.config import ExperimentConfig
-from fedlamb.runner import format_metric_row, run_single
+from fedlamb.runner import run_single
 
 cfg = ExperimentConfig(protocol="mime-lamb", input_dim=30, hidden=(1000,), classes=10,
                        train_per_class=60, test_per_class=10, n_clients=4, participation=0.5,
                        rounds=5, iid=False, classes_per_client=3, eps=1e-4, alpha=0.1, seed=7)
 for m in run_single(cfg, cfg.seed):
-    print(format_metric_row(m).rsplit(",", 1)[0])
+    print(",".join(map(str, astuple(m)[:-1])))
 """
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from fedlamb import runner
 from fedlamb.cli import main
 from fedlamb.config import ConfigError, ExperimentConfig, parse_config, write_config
-from fedlamb.federation import RoundMetrics, RunConfig, RunSettings
+from fedlamb.federation import PROTOCOLS, RoundMetrics, RunConfig, RunSettings
 from fedlamb.optim import RangeError
 from fedlamb.runner import (
     DEFAULT_GRIDS,
+    ETA_GLOBAL_GRID,
     METRIC_COLUMNS,
     compare_protocols,
     grid_sweep,
@@ -258,19 +260,28 @@ class TestRunExperiment:
 
 class TestGridSweep:
     def test_single_value_matches_run_experiment(self, tmp_path):
-        cfg = parse_config(write(tmp_path, SMALL))
-        rows = grid_sweep(cfg, grid=[0.05], out_dir=tmp_path / "sweep")
+        path = write(tmp_path, SMALL)
+        cfg = parse_config(path)
+        rows = grid_sweep(path, grid=[0.05], out_dir=tmp_path / "sweep")
         assert len(rows) == 1
         direct = run_experiment(cfg, out=tmp_path / "direct.csv")
         assert rows[0]["mean_best_test_accuracy"] == direct["mean_best_test_accuracy"]
+
+    def test_every_protocol_has_a_default_grid(self):
+        assert set(DEFAULT_GRIDS) == set(PROTOCOLS)
+
+    def test_bad_rate_rejected_before_any_trial_writes(self, tmp_path):
+        path, out = write(tmp_path, SMALL), tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: key 'alpha': alpha must be positive"):
+            grid_sweep(path, grid=[0.05, 0], out_dir=out)
+        assert not out.exists()
 
     def test_default_layerwise_grid_has_nine_entries(self):
         grid = DEFAULT_GRIDS["fed-lamb"]
         assert grid == [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5]
 
     def test_report_ranked_by_best_accuracy(self, tmp_path):
-        cfg = parse_config(write(tmp_path, SMALL))
-        rows = grid_sweep(cfg, grid=[0.001, 0.05, 0.3], out_dir=tmp_path / "sweep")
+        rows = grid_sweep(write(tmp_path, SMALL), grid=[0.001, 0.05, 0.3], out_dir=tmp_path / "sweep")
         accs = [row["mean_best_test_accuracy"] for row in rows]
         assert accs == sorted(accs, reverse=True)
         report = (tmp_path / "sweep" / "fed-lamb_sweep.csv").read_text().splitlines()
@@ -280,8 +291,8 @@ class TestGridSweep:
 
     def test_equal_accuracy_ranked_by_final_train_loss(self, tmp_path):
         # linear regression scores accuracy 0 at every rate, so the loss ranks them
-        cfg = parse_config(write(tmp_path, SMALL.replace("logistic", "linear-regression")))
-        rows = grid_sweep(cfg, grid=[0.3, 0.001], out_dir=tmp_path / "sweep")
+        path = write(tmp_path, SMALL.replace("logistic", "linear-regression"))
+        rows = grid_sweep(path, grid=[0.3, 0.001], out_dir=tmp_path / "sweep")
         assert [row["mean_best_test_accuracy"] for row in rows] == [0.0, 0.0]
         assert [row["lr"] for row in rows] == [0.001, 0.3]
         losses = [row["mean_final_train_loss"] for row in rows]
@@ -290,9 +301,8 @@ class TestGridSweep:
         assert [float(line.split(",")[4]) for line in report[1:]] == losses
 
     def test_empty_grid_rejected(self, tmp_path):
-        cfg = parse_config(write(tmp_path, SMALL))
         with pytest.raises(ConfigError):
-            grid_sweep(cfg, grid=[], out_dir=tmp_path / "sweep")
+            grid_sweep(write(tmp_path, SMALL), grid=[], out_dir=tmp_path / "sweep")
 
     @pytest.fixture
     def trials(self, monkeypatch):
@@ -310,23 +320,21 @@ class TestGridSweep:
 
     def test_adp_fed_explicit_grid_sweeps_alpha_at_the_config_global_rate(self, tmp_path, trials):
         text = SMALL.replace("fed-lamb", "adp-fed").replace("alpha = 0.05", "alpha = 0.2")
-        cfg = parse_config(write(tmp_path, text + "eta_global = 0.02\n"))
-        rows = grid_sweep(cfg, grid=[0.05], out_dir=tmp_path / "sweep")
+        rows = grid_sweep(write(tmp_path, text + "eta_global = 0.02\n"), grid=[0.05], out_dir=tmp_path / "sweep")
         [(trial, name)] = trials
         assert (trial.alpha, trial.eta_global) == (0.05, 0.02)
         assert name == "adp-fed_el0.05_eg0.02.csv"
         assert (rows[0]["lr"], rows[0]["eta_global"]) == (0.05, 0.02)
 
     def test_adp_fed_default_grid_crosses_local_and_global_rates(self, tmp_path, trials):
-        cfg = parse_config(write(tmp_path, SMALL.replace("fed-lamb", "adp-fed") + "eta_global = 0.02\n"))
-        grid_sweep(cfg, out_dir=tmp_path / "sweep")
+        grid_sweep(write(tmp_path, SMALL.replace("fed-lamb", "adp-fed") + "eta_global = 0.02\n"),
+                   out_dir=tmp_path / "sweep")
         pairs = [(trial.alpha, trial.eta_global) for trial, _ in trials]
         assert len(pairs) == len(set(pairs)) == 12 * 10
-        assert set(pairs) == {(a, g) for a in DEFAULT_GRIDS["adp-fed"] for g in DEFAULT_GRIDS["adp-fed-global"]}
+        assert set(pairs) == {(a, g) for a in DEFAULT_GRIDS["adp-fed"] for g in ETA_GLOBAL_GRID}
 
     def test_other_protocols_report_no_global_rate(self, tmp_path, trials):
-        cfg = parse_config(write(tmp_path, SMALL))
-        rows = grid_sweep(cfg, grid=[0.01, 0.05], out_dir=tmp_path / "sweep")
+        rows = grid_sweep(write(tmp_path, SMALL), grid=[0.01, 0.05], out_dir=tmp_path / "sweep")
         assert [row["eta_global"] for row in rows] == [None, None]
         assert sorted(name for _, name in trials) == ["fed-lamb_lr0.01.csv", "fed-lamb_lr0.05.csv"]
 
@@ -364,11 +372,18 @@ class TestCompare:
         a = parse_config(write(tmp_path, SMALL))
         b = parse_config(write(tmp_path, SMALL.replace("fed-lamb", "fed-sgd"), name="b.cfg"))
         out = tmp_path / "cmp.csv"
-        compare_protocols([a, b], target=0.5, out=out)
+        table = compare_protocols([a, b], target=0.5, out=out)
         lines = out.read_text().splitlines()
         assert lines[0] == "round,fed-lamb,fed-sgd"
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("rounds_to_target,")
+        for r, line in enumerate(lines[1:-1]):
+            cells = line.split(",")
+            assert cells[0] == str(r + 1)
+            assert [float(c) for c in cells[1:]] == [table["accuracy"][p][r] for p in ("fed-lamb", "fed-sgd")]
+        # a target no accuracy reaches reads inf
+        compare_protocols([a, b], target=1.5, out=out)
+        assert out.read_text().splitlines()[-1] == "rounds_to_target,inf,inf"
 
 
 class TestCli:
@@ -431,7 +446,8 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert result.output.count("best_acc=") == 2
 
-    @pytest.mark.parametrize("rate,rule", [("0", "alpha must be positive"), ("inf", "alpha must be finite")])
+    @pytest.mark.parametrize("rate,rule", [("0", "alpha must be positive"), ("inf", "alpha must be finite"),
+                                           ("abc", "could not convert string to float: 'abc'")])
     def test_sweep_checks_every_rate_before_any_trial(self, tmp_path, rate, rule):
         path, out = write(tmp_path, SMALL), tmp_path / "sw"
         result = CliRunner().invoke(main, ["sweep", str(path), f"0.05,{rate}", "--out", str(out)])

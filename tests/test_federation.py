@@ -240,7 +240,7 @@ class TestLocalRound:
         )
         server, clients = init_run(cfg)
         theta0 = blocks.zeros_like(server.params)
-        [res] = local_round([clients[0]], theta0, cfg, r=1, alpha_r=0.5)
+        [res] = local_round([clients[0]], theta0, cfg, r=1, alpha_r=0.5, denoms={})
         assert all(np.array_equal(a, b) for a, b in zip(res.params.blocks, theta0.blocks))
 
     def test_fed_lamb_displacement_law(self, lamb_displacements):
@@ -255,7 +255,7 @@ class TestLocalRound:
     def test_mime_reports_full_shard_gradient(self):
         cfg = make_cfg("mime", n=2, batch_size=8)
         server, clients = init_run(cfg)
-        [res] = local_round([clients[0]], server.params, cfg, 1, 0.01)
+        [res] = local_round([clients[0]], server.params, cfg, 1, 0.01, {})
         from fedlamb.models import full_gradient
         _, want = full_gradient(cfg.spec, server.params, cfg.shards[0].view(cfg.train))
         for a, b in zip(res.full_grad.blocks, want.blocks):
@@ -271,7 +271,7 @@ class TestLocalRound:
         server, clients = init_run(cfg)
         full, calls = federation.full_gradient, []
         monkeypatch.setattr(federation, "full_gradient", lambda *args: calls.append(args) or full(*args))
-        results = local_round(clients[:size], server.params, cfg, 1, 0.01)
+        results = local_round(clients[:size], server.params, cfg, 1, 0.01, {})
         assert not calls
         for res, client in zip(results, clients):
             shard = cfg.shards[client.client_id]
