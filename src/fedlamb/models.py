@@ -12,8 +12,11 @@ as K separate passes. The metric pass runs them on one model and 2-D input.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +31,16 @@ _INIT_TAG = 0x11D1  # keys the parameter-init RNG stream
 # Terms per step of every sample-axis sum and matmul inner dimension: OpenBLAS
 # splits longer sums across threads, so 512 already give thread-count-dependent bytes.
 _CHUNK = 256
+# The pieces keep every covered width's bytes thread-independent. This import runs numpy's
+# own OpenBLAS on one thread process-wide (a second doubles CPU time for little wall time)
+# unless the user set a count OpenBLAS reads; only then can widths 300 and 700 still differ.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    _NUMPY = Path(np.__file__).parent  # numpy has loaded the library: CDLL returns its handle
+    for _lib in [*_NUMPY.parent.glob("numpy.libs/*scipy_openblas*"), *_NUMPY.glob(".dylibs/*scipy_openblas*")]:
+        for _name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            if (_set := getattr(ctypes.CDLL(str(_lib)), _name, None)) is not None:
+                _set.argtypes, _set.restype = [ctypes.c_int], None
+                _set(1)
 
 
 class NumericOverflowError(FloatingPointError):

@@ -158,16 +158,21 @@ def grid_sweep(path, grid=None, out_dir=None, **overrides) -> list[dict]:
     has_rate = TABLE[protocol].server == "adam"
     alphas = DEFAULT_GRIDS[protocol] if grid is None else grid
     etas = ETA_GLOBAL_GRID if has_rate and grid is None else [None]  # None keeps the config's
-    trials = [parse_config(path, **overrides, alpha=a, eta_global=g) for a in alphas for g in etas]
+    trials = {}  # file tag -> (grid value, trial); one tag is one file name
+    for a, g in [(a, g) for a in alphas for g in etas]:
+        trial = parse_config(path, **overrides, alpha=a, eta_global=g)
+        tag = f"el{trial.alpha:g}_eg{trial.eta_global:g}" if has_rate else f"lr{trial.alpha:g}"
+        if tag in trials:  # the second trial would overwrite the first's files
+            raise ConfigError(f"{path}: key 'alpha': {trials[tag][0]!r} and {a!r} give one file tag {tag!r}")
+        trials[tag] = a, trial
     if not trials:
         raise ConfigError("empty learning-rate grid")
 
     out_dir = Path(out_dir or "sweep")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for trial in trials:
+    for tag, (_, trial) in trials.items():
         lr, eg = trial.alpha, trial.eta_global if has_rate else None
-        tag = f"el{lr:g}_eg{eg:g}" if has_rate else f"lr{lr:g}"
         summary = run_experiment(trial, out=out_dir / f"{protocol}_{tag}.csv")
         rows.append({"lr": lr, "eta_global": eg, **summary})
     rows.sort(key=lambda row: (-row["mean_best_test_accuracy"], row["mean_final_train_loss"]))

@@ -1,8 +1,11 @@
 """Helpers the tests share that are built on the package's own code, unlike
 the independent loops in oracles.py: a block's norm as the package sums it,
-the CSV writer that inverts data.load_csv, and an epoch's minibatches."""
+the CSV writer that inverts data.load_csv, an epoch's minibatches, and the
+thread count of numpy's own OpenBLAS."""
 
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -31,3 +34,14 @@ def epoch_batches(dataset: Dataset, shard: ClientShard, batch_size: int, epoch: 
     sample order cut into consecutive read-only batches, the last maybe short."""
     order = minibatch_stream(shard, epoch, seed, batch_size)
     return [dataset.take(order[lo : lo + batch_size]) for lo in range(0, order.size, batch_size)]
+
+
+def openblas_threads() -> int:
+    """The thread count numpy's own OpenBLAS (scipy-openblas, bundled in the
+    wheel) runs at, read from the library numpy has loaded."""
+    home = Path(np.__file__).parent
+    [lib] = [*home.parent.glob("numpy.libs/*scipy_openblas*"), *home.glob(".dylibs/*scipy_openblas*")]
+    blas = ctypes.CDLL(str(lib))
+    get = getattr(blas, "scipy_openblas_get_num_threads64_", None) or blas.scipy_openblas_get_num_threads
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()

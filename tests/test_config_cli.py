@@ -276,6 +276,15 @@ class TestGridSweep:
             grid_sweep(path, grid=[0.05, 0], out_dir=out)
         assert not out.exists()
 
+    def test_rates_with_one_file_tag_rejected_before_any_trial(self, tmp_path, trials):
+        # 0.0500000001 prints as 0.05 under :g, so both trials would write fed-lamb_lr0.05.csv
+        path, out = write(tmp_path, SMALL), tmp_path / "sweep"
+        message = re.escape(f"{path}: key 'alpha': 0.05 and 0.0500000001 give one file tag 'lr0.05'")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            grid_sweep(path, grid=[0.05, 0.01, 0.0500000001], out_dir=out)
+        assert not trials
+        assert not out.exists()
+
     def test_default_layerwise_grid_has_nine_entries(self):
         grid = DEFAULT_GRIDS["fed-lamb"]
         assert grid == [0.001, 0.003, 0.005, 0.01, 0.03, 0.05, 0.1, 0.3, 0.5]
@@ -447,7 +456,8 @@ class TestCli:
         assert result.output.count("best_acc=") == 2
 
     @pytest.mark.parametrize("rate,rule", [("0", "alpha must be positive"), ("inf", "alpha must be finite"),
-                                           ("abc", "could not convert string to float: 'abc'")])
+                                           ("abc", "could not convert string to float: 'abc'"),
+                                           ("5e-2", "'0.05' and '5e-2' give one file tag 'lr0.05'")])
     def test_sweep_checks_every_rate_before_any_trial(self, tmp_path, rate, rule):
         path, out = write(tmp_path, SMALL), tmp_path / "sw"
         result = CliRunner().invoke(main, ["sweep", str(path), f"0.05,{rate}", "--out", str(out)])
