@@ -203,12 +203,12 @@ def partition_label_shards(
     ]
 
 
-def minibatch_stream(shard: ClientShard, epoch: int, seed: int, batch_size: int) -> np.ndarray:
-    """One local epoch of a shard: its sample positions in the parent dataset,
-    which the caller cuts into consecutive minibatches of `batch_size` (the
-    last may be short), in a fresh seed-and-epoch-keyed order. An epoch that
-    is one batch keeps the shard's stored order, as its full-shard gradient does."""
-    if batch_size >= len(shard):
-        return shard.indices
-    perm = np.random.default_rng([_BATCH_TAG, seed, epoch]).permutation(len(shard))
-    return shard.indices[perm]
+def minibatch_stream(indices: np.ndarray, epoch: int, seed: int, batch_size: int) -> np.ndarray:
+    """One local epoch of shards' sample positions in the parent dataset, shape
+    (..., n): one fresh seed-and-epoch-keyed permutation of every row, which the
+    caller cuts into consecutive minibatches of `batch_size` (the last may be
+    short). An epoch that is one batch keeps the stored order, as a full-shard gradient does."""
+    n = indices.shape[-1]
+    if batch_size >= n:
+        return indices
+    return indices[..., np.random.default_rng([_BATCH_TAG, seed, epoch]).permutation(n)]

@@ -279,36 +279,32 @@ def local_round(
     carried buffers stay on the clients. `denoms` holds each v-hat's
     denominator by id for the round's groups to share."""
     proto = TABLE[cfg.protocol]
-    T = cfg.local_epochs
-    shards = [cfg.shards[c.client_id] for c in group]
+    T, b = cfg.local_epochs, cfg.batch_size
+    idx = np.stack([cfg.shards[c.client_id].indices for c in group])  # (K, n) sample positions
+    n = idx.shape[1]
     uploads_grad = "gradient" in proto.uplink  # charged as one more pass over the shard
-    one_batch = cfg.batch_size >= len(shards[0])  # then step 1 is a pass over the shard at theta_bar
-    results = [LocalResult(client_id=c.client_id, params=theta_bar, grad_evals=(T + uploads_grad) * len(shard))
-               for c, shard in zip(group, shards)]
-    if uploads_grad and not one_batch:
-        for res, shard in zip(results, shards):
-            try:
-                _, res.full_grad = full_gradient(cfg.spec, theta_bar, shard.view(cfg.train))
-            except NumericOverflowError as exc:
-                raise NumericOverflowError(f"client {res.client_id}, full-shard gradient: {exc}") from exc
-
+    results = [LocalResult(c.client_id, theta_bar, grad_evals=(T + uploads_grad) * n) for c in group]
     s = _LocalRound(cfg, alpha_r, theta_bar, group, "moment" in proto.uplink, denoms)
     stack = Stack(cfg.spec, s.layout, s.theta)
+
+    def grad(rows: np.ndarray, what: str) -> np.ndarray:  # one stacked pass, into stack.grad
+        try:
+            return backward(cfg.spec, stack, cfg.train.take(rows))
+        except NumericOverflowError as exc:
+            first = min(group[k].client_id for k in exc.rows)
+            raise NumericOverflowError(f"client {first}, {what}: {exc}") from exc
+
+    # the upload: a pass over the shards at theta_bar, which step 1 is when one batch covers them
+    upload = grad(idx, "full-shard gradient").copy() if uploads_grad and b < n else None
     rule = getattr(_LocalRound, proto.local)
     step = 0
     for e in range(T):
-        epoch_id = (r - 1) * T + e
-        orders = np.stack([minibatch_stream(shard, epoch_id, cfg.seed, cfg.batch_size) for shard in shards])
-        for lo in range(0, orders.shape[1], cfg.batch_size):
+        order = minibatch_stream(idx, (r - 1) * T + e, cfg.seed, b)
+        for lo in range(0, n, b):
             step += 1
-            try:
-                g = backward(cfg.spec, stack, cfg.train.take(orders[:, lo : lo + cfg.batch_size]))
-            except NumericOverflowError as exc:
-                first = min(group[k].client_id for k in exc.rows)
-                raise NumericOverflowError(f"client {first}, local step {step}: {exc}") from exc
-            if uploads_grad and one_batch and step == 1:  # copied before the rule overwrites g
-                for res, row in zip(results, g.copy()):
-                    res.full_grad = BlockVector(s.layout, row)
+            g = grad(order[:, lo : lo + b], f"local step {step}")
+            if uploads_grad and upload is None:  # copied before the rule overwrites g
+                upload = g.copy()
             rule(s, g)
 
     for k, (client, res) in enumerate(zip(group, results)):
@@ -317,6 +313,8 @@ def local_round(
         res.params = BlockVector(s.layout, s.theta[k])
         if s.v is not None:
             res.v = BlockVector(s.layout, s.v[k])
+        if upload is not None:
+            res.full_grad = BlockVector(s.layout, upload[k])
     return results
 
 

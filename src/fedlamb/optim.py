@@ -42,30 +42,28 @@ def check_ranges(obj, rules) -> None:
 
 @dataclass(frozen=True)
 class ScalingFn:
-    """Layer-norm scaling phi; identity in practice, clipped variant for
-    testing the bounded-scaling regime."""
+    """Layer-norm scaling phi(a) = min(max(a, lo), hi), elementwise; the
+    identity (0, inf) keeps every norm >= 0 as it is, and `clipped` bounds
+    it for testing the bounded-scaling regime."""
 
-    kind: str = "identity"
     lo: float = 0.0
     hi: float = math.inf
 
     def __post_init__(self):
-        if self.kind not in ("identity", "clipped"):
-            raise ValueError(f"unknown scaling kind {self.kind!r}")
-        if self.kind == "clipped" and not (0 < self.lo <= self.hi):
-            raise ValueError("clipped scaling requires 0 < lo <= hi")
+        if not 0 <= self.lo <= self.hi:
+            raise ValueError("scaling requires 0 <= lo <= hi")
 
-    def __call__(self, a: float) -> float:
-        if self.kind == "identity":
-            return a
-        return min(max(a, self.lo), self.hi)
+    def __call__(self, a):
+        return np.minimum(np.maximum(a, self.lo), self.hi)
 
 
 IDENTITY = ScalingFn()
 
 
 def clipped(lo: float, hi: float) -> ScalingFn:
-    return ScalingFn("clipped", lo, hi)
+    if not 0 < lo:
+        raise ValueError("clipped scaling requires 0 < lo <= hi")
+    return ScalingFn(lo, hi)
 
 
 def sgd_step(theta, g, alpha: float, buf=None, mu: float = 0.0, *, tmp) -> None:
@@ -112,25 +110,24 @@ def lamb_step(theta, psi, alpha: float, lam: float, phi: ScalingFn, *, layout: L
     Degenerate blocks: |u| = 0 gives coefficient 0 and leaves the block
     unchanged (a -0.0 coordinate may become 0.0); |theta| = 0
     replaces the trust factor phi(|theta|)/|u| by 1 so zero-initialized
-    bias blocks stay trainable under the identity scaling. The norms of all
-    rows come first (`blocks.dot`: for a stack, one `np.vecdot` per block and
-    8,192-float piece), then a (K, L) array of coefficients. Returns the
-    (|theta|, |u|) pair each block's coefficient came from: a list per block
-    for a vector, one such list per row for a stack.
+    bias blocks stay trainable under the identity scaling. A vector is
+    stepped as a one-row stack. The norms of all rows come first as one
+    (2, L, K) array (`blocks.dot`: for a stack, one `np.vecdot` per block and
+    8,192-float piece), then the (L, K) coefficients as one array expression.
+    Returns (|theta|, |u|), the (L, K) norms each block's coefficient came from.
     """
-    u = psi
+    theta, u, tmp = np.atleast_2d(theta, psi, tmp)  # views, so the steps land in the caller's buffers
     if lam:  # u = psi + 0*theta differs from psi only in the sign of zeros, which theta - c*u drops
         np.multiply(theta, lam, out=tmp)
-        np.add(psi, tmp, out=psi)
-    L = len(layout.slices)
-    norms = np.sqrt([dot(x[..., s], x[..., s]) for x in (theta, u) for s in layout.slices])
-    pairs = [list(zip(row[:L], row[L:])) for row in norms.reshape(2 * L, -1).T.tolist()]
-    coef = np.array([[0.0 if un == 0.0 else alpha if tn == 0.0 else alpha * phi(tn) / un for tn, un in row]
-                     for row in pairs]).reshape(*theta.shape[:-1], L)
-    for j, s in enumerate(layout.slices):
-        u[..., s] *= coef[..., j, None]
+        u += tmp
+    t_norm, u_norm = np.sqrt([[dot(x[:, s], x[:, s]) for s in layout.slices] for x in (theta, u)]).reshape(
+        2, len(layout.slices), -1)
+    coef = np.divide(alpha * phi(t_norm), u_norm, out=np.where(u_norm == 0.0, 0.0, alpha),
+                     where=(t_norm != 0.0) & (u_norm != 0.0))
+    for s, c in zip(layout.slices, coef):
+        u[:, s] *= c[:, None]
     theta -= u
-    return pairs if theta.ndim > 1 else pairs[0]
+    return t_norm, u_norm
 
 
 def milestone_lr(alpha0: float, r: int, milestones, factor: float) -> float:

@@ -20,10 +20,10 @@ def lamb_displacements(monkeypatch):
 
     def spy(theta, psi, alpha, lam, phi, *, layout, tmp):
         before = theta.copy()
-        norms = lamb_step(theta, psi, alpha, lam, phi, layout=layout, tmp=tmp)
-        for row, row_before, row_norms in zip(theta, before, norms):
+        t_norms, u_norms = norms = lamb_step(theta, psi, alpha, lam, phi, layout=layout, tmp=tmp)
+        for row, row_before, t_row, u_row in zip(theta, before, t_norms.T, u_norms.T):
             disp = block_norms(BlockVector(layout, row - row_before))
-            for d, (t_norm, u_norm) in zip(disp.tolist(), row_norms):
+            for d, t_norm, u_norm in zip(disp.tolist(), t_row.tolist(), u_row.tolist()):
                 recorded.append((d, alpha * phi(t_norm), u_norm == 0.0 or t_norm == 0.0))
         return norms
 

@@ -32,7 +32,7 @@ def epoch_batches(dataset: Dataset, shard: ClientShard, batch_size: int, epoch: 
                   seed: int) -> list[Dataset]:
     """One local epoch of a shard as the engine steps through it: the epoch's
     sample order cut into consecutive read-only batches, the last maybe short."""
-    order = minibatch_stream(shard, epoch, seed, batch_size)
+    order = minibatch_stream(shard.indices, epoch, seed, batch_size)
     return [dataset.take(order[lo : lo + batch_size]) for lo in range(0, order.size, batch_size)]
 
 

@@ -9,6 +9,7 @@ from fedlamb.data import (
     PartitionError,
     gen_blobs,
     load_csv,
+    minibatch_stream,
     partition_iid,
     partition_label_shards,
 )
@@ -237,6 +238,17 @@ class TestMinibatchStream:
         assert any(
             not np.array_equal(x.features, y.features) for x, y in zip(a, c)
         )
+
+    def test_stack_takes_each_rows_own_order(self):
+        # a (K, n) stack of positions is ordered by one permutation, each row as
+        # its own call orders it; one batch covering the shards keeps them as they are
+        stack = np.stack([np.arange(10), np.arange(10, 20)[::-1], np.arange(0, 30, 3)])
+        for epoch in (0, 5):
+            got = minibatch_stream(stack, epoch, 4, 3)
+            assert got.shape == stack.shape
+            for row, want in zip(got, stack):
+                np.testing.assert_array_equal(row, minibatch_stream(want, epoch, 4, 3))
+        assert minibatch_stream(stack, 0, 4, 10) is stack
 
     def test_visits_every_index_once(self):
         ds, sh = self._data(13), self._shard(13)

@@ -252,14 +252,23 @@ class TestLocalRound:
             if not fallback:
                 assert abs(actual - bound) <= 1e-9
 
-    def test_mime_reports_full_shard_gradient(self):
-        cfg = make_cfg("mime", n=2, batch_size=8)
+    @pytest.mark.parametrize("size", (1, 3))
+    @pytest.mark.parametrize("proto", ("mime", "mime-lamb"))
+    def test_mime_reports_full_shard_gradient(self, proto, size, monkeypatch):
+        # shards of 24 rows in batches of 8: each upload is the client's row of
+        # the group's stacked pass over its shards at the global model, bit for
+        # bit full_gradient's over the client's own shard, which is not called
+        cfg = make_cfg(proto, n=3, batch_size=8, local_epochs=2)
         server, clients = init_run(cfg)
-        [res] = local_round([clients[0]], server.params, cfg, 1, 0.01, {})
-        from fedlamb.models import full_gradient
-        _, want = full_gradient(cfg.spec, server.params, cfg.shards[0].view(cfg.train))
-        for a, b in zip(res.full_grad.blocks, want.blocks):
-            np.testing.assert_array_equal(a, b)
+        full, calls = federation.full_gradient, []
+        monkeypatch.setattr(federation, "full_gradient", lambda *args: calls.append(args) or full(*args))
+        results = local_round(clients[:size], server.params, cfg, 1, 0.01, {})
+        assert not calls
+        for res, client in zip(results, clients):
+            shard = cfg.shards[client.client_id]
+            _, want = full(cfg.spec, server.params, shard.view(cfg.train))
+            assert np.array_equal(res.full_grad.data, want.data)
+            assert res.grad_evals == cfg.local_epochs * len(shard) + len(shard)
 
     @pytest.mark.parametrize("size", (1, 3))
     @pytest.mark.parametrize("proto", ("mime", "mime-lamb"))

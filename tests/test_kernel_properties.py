@@ -133,10 +133,10 @@ def test_lamb_step(xs, data, alpha, lam, phi):
     psi = BlockVector(theta.layout, np.concatenate(p_blocks))
     want = reference_lamb(theta.blocks, psi.blocks, alpha, lam, phi)
     got = theta.data.copy()
-    norms = lamb_step(got, psi.data.copy(), alpha, lam, phi, layout=theta.layout, tmp=np.empty(theta.dim))
+    t_norms, u_norms = lamb_step(got, psi.data.copy(), alpha, lam, phi, layout=theta.layout, tmp=np.empty(theta.dim))
     assert equal_blocks(BlockVector(theta.layout, got).blocks, want)
-    assert norms == [(np.linalg.norm(t), np.linalg.norm(p + lam * t))
-                     for t, p in zip(theta.blocks, psi.blocks)]
+    assert t_norms.tolist() == [[np.linalg.norm(t)] for t in theta.blocks]
+    assert u_norms.tolist() == [[np.linalg.norm(p + lam * t)] for t, p in zip(theta.blocks, psi.blocks)]
 
 
 @SETTINGS
@@ -155,8 +155,34 @@ def test_lamb_step_without_decay_keeps_the_decay_formula_bytes(xs, data, alpha, 
     want = theta.copy()
     want_norms = lamb_step(want, psi + theta * 0.0, alpha, 0.0, phi, layout=layout, tmp=tmp)
     got = theta.copy()
-    assert lamb_step(got, psi.copy(), alpha, 0.0, phi, layout=layout, tmp=tmp) == want_norms
+    assert np.array_equal(lamb_step(got, psi.copy(), alpha, 0.0, phi, layout=layout, tmp=tmp), want_norms)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@SETTINGS
+@given(st.integers(2, 4).flatmap(lambda k: vectors(2 * k)), st.data(), st.floats(1e-4, 1.0),
+       st.sampled_from([0.0, 0.1]), PHIS)
+def test_lamb_step_on_a_stack_is_each_rows_own_step(xs, data, alpha, lam, phi):
+    """A (K, p) stack steps, row by row, to the bytes and norms of K one-row
+    calls, with blocks of |theta| = 0 and of |u| = 0 planted in every row,
+    and warns of no division by zero."""
+    layout, k = xs[0].layout, len(xs) // 2
+    theta, psi = np.array([x.data for x in xs[:k]]), np.array([x.data for x in xs[k:]])
+    for t, p in zip(theta, psi):
+        for s in layout.slices:
+            if data.draw(st.booleans()):
+                t[s] = 0.0
+            if data.draw(st.booleans()):
+                p[s] = -(lam * t[s])
+    got = theta.copy()
+    t_norms, u_norms = lamb_step(got, psi.copy(), alpha, lam, phi, layout=layout, tmp=np.empty_like(got))
+    assert t_norms.shape == u_norms.shape == (len(layout.slices), k)
+    for j, (row, p) in enumerate(zip(theta, psi)):
+        t_row, u_row = lamb_step(row, p.copy(), alpha, lam, phi, layout=layout, tmp=np.empty(row.size))
+        assert got[j].tobytes() == row.tobytes()
+        assert t_norms[:, j].tobytes() == t_row[:, 0].tobytes()
+        assert u_norms[:, j].tobytes() == u_row[:, 0].tobytes()
 
 
 def kernel_chain(rule, s, g, cfg, lr):
