@@ -5,8 +5,8 @@ namespace when they run, so wrapping those names (tracing) changes nothing.
 
 Determinism contract: every emitted number is a pure function of
 (config, seed); client RNG streams are keyed, client work is independent,
-and reductions run in ascending client-id order whatever order the local
-rounds ran in.
+and each upload is folded into the server's running sums in ascending
+client-id order whatever order the local rounds ran in.
 
 Sampled clients with equal shard sizes (so equal minibatch schedules) train
 in lockstep groups whose buffers are rows of (K, p) arrays; each row's
@@ -42,11 +42,12 @@ class Protocol:
     server: str                   # server rule: a method of ServerState
     uplink: tuple[str, ...] = ()  # payloads besides the model: "moment", "gradient"
     vhat: bool = False            # keeps a v-hat, broadcast on sync rounds
+    delta: bool = False           # the server averages each model's change from theta_bar
 
 
 TABLE = {
     "fed-sgd": Protocol("momentum_sgd", "average"),
-    "adp-fed": Protocol("sgd", "adam"),
+    "adp-fed": Protocol("sgd", "adam", delta=True),
     "fed-ams": Protocol("amsgrad", "max_mean_v", ("moment",), vhat=True),
     "fed-lamb": Protocol("lamb", "max_mean_v", ("moment",), vhat=True),
     "mime": Protocol("amsgrad", "full_grad_v", ("gradient",), vhat=True),
@@ -144,7 +145,9 @@ class RunConfig(RunSettings):
 @dataclass
 class ServerState:
     """The global model and server statistics. Its methods are the server
-    rules; each folds one round's local results (ascending client id) in."""
+    rules; each takes the round's mean uploads, keyed by `LocalResult` field
+    (see `UploadFold`): "params" always, "v" and "full_grad" on sync rounds
+    when the protocol uploads them."""
 
     params: BlockVector
     vhat: BlockVector | None = None  # adaptive protocols
@@ -152,23 +155,22 @@ class ServerState:
     v: BlockVector | None = None     # adp-fed server Adam / mime moment
     round_index: int = 0
 
-    def average(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
-        self.params = aggregate_params([res.params for res in results])
+    def average(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
+        self.params = mean["params"]
 
-    def adam(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
-        deltas = [lin_comb(1.0, res.params, -1.0, self.params) for res in results]
-        adp_fed_server_update(self, deltas, cfg.eta_global, cfg.beta1, cfg.beta2)
+    def adam(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
+        """The models were folded as their deltas from theta_bar (`Protocol.delta`)."""
+        adp_fed_server_update(self, mean["params"], cfg.eta_global, cfg.beta1, cfg.beta2)
 
-    def max_mean_v(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
-        self.average(results, cfg, gate)
+    def max_mean_v(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
+        self.average(mean, cfg, gate)
         if gate:
-            self.vhat = aggregate_vhat_fedlamb(self.vhat, [res.v for res in results])
+            self.vhat = aggregate_vhat_fedlamb(self.vhat, mean["v"])
 
-    def full_grad_v(self, results: list[LocalResult], cfg: RunConfig, gate: bool) -> None:
-        self.average(results, cfg, gate)
+    def full_grad_v(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
+        self.average(mean, cfg, gate)
         if gate:
-            grads = [res.full_grad for res in results]
-            self.v, self.vhat = mime_vhat_update(self.v, self.vhat, grads, cfg.beta2)
+            self.v, self.vhat = mime_vhat_update(self.v, self.vhat, mean["full_grad"], cfg.beta2)
 
 
 @dataclass
@@ -374,44 +376,76 @@ class _LocalRound:
         lamb_step(self.theta, psi, self.lr, c.lam, c.phi, layout=self.layout, tmp=self.tmp)
 
 
-def aggregate_params(received: list[BlockVector]) -> BlockVector:
-    """Unweighted coordinatewise mean, summed in received (ascending id) order."""
-    if not received:
-        raise ProtocolError("no client models to aggregate")
-    return blocks.mean(received)
+class UploadFold:
+    """A round's uploads, folded as their lockstep groups finish into one
+    running sum per payload, in ascending sampled-id order, with
+    `blocks.mean`'s operations (copy the first, add the rest in place, scale
+    by 1/n), so each mean is its mean of the ascending-id list, bit for bit.
+    An upload that arrives before a lower sampled id waits in `held`. The
+    model ("params") is folded every round, as its delta x - base when a base
+    is given (lin_comb(1.0, x, -1.0, base) bit for bit: IEEE subtraction adds
+    the negation); "v" and "full_grad" on `gate` rounds if uploaded."""
+
+    def __init__(self, ids, gate: bool, base: BlockVector | None = None):
+        self.pending = sorted(map(int, ids), reverse=True)  # ids still to fold; the next is last
+        self.fields = ("params", "v", "full_grad") if gate else ("params",)
+        self.base, self.held, self.sums, self.layout, self.n, self.grad_evals = base, {}, {}, None, 0, 0
+
+    def add(self, uploads: list[LocalResult]) -> None:
+        """Folds what it can of one group's uploads; the rest wait for lower ids."""
+        for upload in uploads:
+            self.held[upload.client_id] = upload
+            self.grad_evals += upload.grad_evals
+        while self.pending and self.pending[-1] in self.held:
+            res = self.held.pop(self.pending.pop())
+            self.layout = res.params.layout
+            for name in self.fields:
+                x = getattr(res, name)
+                if x is None:
+                    continue
+                x = x.data if name != "params" or self.base is None else x.data - self.base.data
+                if name in self.sums:
+                    self.sums[name] += x
+                else:
+                    self.sums[name] = x.copy()
+            self.n += 1
+
+    def mean(self) -> dict[str, BlockVector]:
+        """The mean of every folded payload, once every sampled id is folded.
+        The fold hands its sums over and keeps no vector afterwards."""
+        if not self.n:
+            raise ProtocolError("no client uploads to aggregate")
+        if self.pending:
+            raise ProtocolError(f"no upload from sampled client {self.pending[-1]}")
+        sums, self.sums, self.base = self.sums, {}, None
+        for acc in sums.values():
+            acc *= 1.0 / self.n
+        return {name: BlockVector(self.layout, acc) for name, acc in sums.items()}
 
 
-def aggregate_vhat_fedlamb(vhat_prev: BlockVector, received_v: list[BlockVector]) -> BlockVector:
-    """v-hat' = max(v-hat, mean of received local second moments)."""
-    if not received_v:
-        raise ProtocolError("no client moments to aggregate")
-    return ew_max(vhat_prev, blocks.mean(received_v))
+def aggregate_vhat_fedlamb(vhat_prev: BlockVector, vbar: BlockVector) -> BlockVector:
+    """v-hat' = max(v-hat, mean of the received local second moments)."""
+    return ew_max(vhat_prev, vbar)
 
 
 def mime_vhat_update(
-    v_prev: BlockVector, vhat_prev: BlockVector, full_grads: list[BlockVector], beta2: float
+    v_prev: BlockVector, vhat_prev: BlockVector, gbar: BlockVector, beta2: float
 ) -> tuple[BlockVector, BlockVector]:
-    """Server-side moment update from full-data gradients at the global model:
-    mean, decayed square accumulation, coordinatewise cap."""
-    if not full_grads:
-        raise ProtocolError("no full gradients received")
-    gbar = blocks.mean(full_grads)
+    """Server-side moment update from the mean of the full-data gradients at
+    the global model: decayed square accumulation, coordinatewise cap."""
     v = lin_comb(beta2, v_prev, 1.0 - beta2, square(gbar))
     return v, ew_max(vhat_prev, v)
 
 
 def adp_fed_server_update(
-    server: ServerState, deltas: list[BlockVector], eta_g: float, beta1: float, beta2: float
+    server: ServerState, dbar: BlockVector, eta_g: float, beta1: float, beta2: float
 ) -> None:
-    """Server Adam step on the averaged model deltas.
+    """Server Adam step on the mean model delta.
 
     theta' = theta + eta_g * m / sqrt(v): the plus sign is correct because
     each delta accumulates negative local gradient steps. No floor is
     applied beyond v's positive initialization.
     """
-    if not deltas:
-        raise ProtocolError("no client deltas received")
-    dbar = blocks.mean(deltas)
     server.m = lin_comb(beta1, server.m, 1.0 - beta1, dbar)
     server.v = lin_comb(beta2, server.v, 1.0 - beta2, square(dbar))
     update = BlockVector(server.m.layout, server.m.data / np.sqrt(server.v.data))
@@ -442,7 +476,9 @@ def run_round(
     cfg: RunConfig,
 ) -> tuple[RoundMetrics, CommEntry]:
     """One full round: sample, broadcast, local training, aggregate, account.
-    Local results are reduced in ascending client-id order."""
+    Each group's uploads are folded into the server's running sums as the
+    group finishes (`UploadFold`), so the round holds one sum per payload,
+    not one vector per participant."""
     t0 = time.perf_counter()
     r = server.round_index + 1
     proto = TABLE[cfg.protocol]
@@ -455,11 +491,10 @@ def run_round(
                 clients[i].vhat = server.vhat
 
         alpha_r = milestone_lr(cfg.alpha, r, cfg.milestones, cfg.lr_factor)
-        results, denoms = [], {}
+        fold, denoms = UploadFold(ids, gate, server.params if proto.delta else None), {}
         for group in _lockstep_groups(ids, cfg.shards, server.params.dim):
-            results += local_round([clients[i] for i in group], server.params, cfg, r, alpha_r, denoms)
-        results.sort(key=lambda res: res.client_id)
-        getattr(server, proto.server)(results, cfg, gate)
+            fold.add(local_round([clients[i] for i in group], server.params, cfg, r, alpha_r, denoms))
+        getattr(server, proto.server)(fold.mean(), cfg, gate)
         server.round_index = r
 
         comm = comm_account(cfg.protocol, server.params.dim, len(ids), r, cfg.lazy_period)
@@ -475,7 +510,7 @@ def run_round(
         grad_norm_sq=blocks.norm_sq(grad),
         uplink_floats=comm.uplink_total,
         downlink_floats=comm.downlink_total,
-        grad_evals=sum(res.grad_evals for res in results),
+        grad_evals=fold.grad_evals,
         wall_time=time.perf_counter() - t0,
     )
     return metrics, comm

@@ -20,7 +20,6 @@ from fedlamb.data import ClientShard, Dataset, gen_blobs, partition_iid
 from fedlamb.federation import (
     PROTOCOLS,
     RunConfig,
-    aggregate_params,
     init_run,
     run_round,
     sample_clients,
@@ -296,7 +295,7 @@ def test_criterion_7_zero_heterogeneity_consensus(uploaded_params):
         for _ in range(3):
             uploaded_params.clear()
             run_round(server, clients, cfg)
-            mean_params = aggregate_params(uploaded_params)
+            mean_params = blocks.mean(uploaded_params)
             for theta_i in uploaded_params:
                 gap = math.sqrt(norm_sq(lin_comb(1.0, mean_params, -1.0, theta_i)))
                 assert gap <= 1e-12, protocol

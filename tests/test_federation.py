@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from fedlamb.data import ClientShard, Dataset, gen_blobs, partition_iid
 from fedlamb.federation import (
     PROTOCOLS,
     TABLE,
+    LocalResult,
     ProtocolError,
     RoundError,
     RunConfig,
     ServerState,
+    UploadFold,
     adp_fed_server_update,
-    aggregate_params,
     aggregate_vhat_fedlamb,
     comm_account,
     init_run,
@@ -46,6 +48,14 @@ def random_bv(rng, sizes=(5, 3)):
 
 def dist(a, b):
     return math.sqrt(norm_sq(lin_comb(1.0, a, -1.0, b)))
+
+
+def fold_params(xs):
+    """The round fold's mean of the models `xs`, uploaded by clients 0, 1, ... in turn."""
+    fold = UploadFold(range(len(xs)), gate=True)
+    for i, x in enumerate(xs):
+        fold.add([LocalResult(i, x)])
+    return fold.mean()["params"]
 
 
 SPEC = ModelSpec("mlp", input_dim=4, hidden=(6,), classes=3)
@@ -95,18 +105,18 @@ class TestSampleClients:
 
 class TestAggregateParams:
     def test_two_point_mean(self):
-        out = aggregate_params([bv(("a", [1.0, 2.0])), bv(("a", [3.0, 4.0]))])
+        out = fold_params([bv(("a", [1.0, 2.0])), bv(("a", [3.0, 4.0]))])
         assert out.blocks[0].tolist() == [2.0, 3.0]
 
     def test_single_identity(self):
         x = bv(("a", [1.5, -2.5]))
-        out = aggregate_params([x])
+        out = fold_params([x])
         assert out.blocks[0].tolist() == [1.5, -2.5]
 
     def test_seven_clients_scalar_oracle(self):
         rng = np.random.default_rng(0)
         xs = [random_bv(rng) for _ in range(7)]
-        got = aggregate_params(xs)
+        got = fold_params(xs)
         lists = [oracles.to_lists(x) for x in xs]
         for bi, block in enumerate(oracles.to_lists(got)):
             for j, val in enumerate(block):
@@ -115,19 +125,28 @@ class TestAggregateParams:
 
     def test_empty_is_protocol_error(self):
         with pytest.raises(ProtocolError):
-            aggregate_params([])
+            fold_params([])
+
+    def test_missing_upload_is_protocol_error(self):
+        # client 1 was sampled but never uploaded: client 2's upload waits and
+        # the fold refuses to average an incomplete round
+        fold = UploadFold([0, 1, 2], gate=False)
+        for i in (0, 2):
+            fold.add([LocalResult(i, bv(("a", [float(i)])))])
+        with pytest.raises(ProtocolError, match="sampled client 1"):
+            fold.mean()
 
 
 class TestAggregateVhat:
     def test_direct(self):
         out = aggregate_vhat_fedlamb(
-            bv(("a", [1.0, 1.0])), [bv(("a", [0.0, 4.0])), bv(("a", [2.0, 0.0]))]
+            bv(("a", [1.0, 1.0])), blocks.mean([bv(("a", [0.0, 4.0])), bv(("a", [2.0, 0.0]))])
         )
         assert out.blocks[0].tolist() == [1.0, 2.0]
 
     def test_all_zero_received(self):
         prev = bv(("a", [0.3, 0.7]))
-        out = aggregate_vhat_fedlamb(prev, [blocks.zeros_like(prev)] * 3)
+        out = aggregate_vhat_fedlamb(prev, blocks.mean([blocks.zeros_like(prev)] * 3))
         assert out.blocks[0].tolist() == [0.3, 0.7]
 
     def test_nondecreasing_over_random_rounds(self):
@@ -135,7 +154,7 @@ class TestAggregateVhat:
         vhat = blocks.full_like(random_bv(rng), 1e-8)
         for _ in range(50):
             received = [blocks.square(random_bv(rng)) for _ in range(4)]
-            new = aggregate_vhat_fedlamb(vhat, received)
+            new = aggregate_vhat_fedlamb(vhat, blocks.mean(received))
             for a, b in zip(new.blocks, vhat.blocks):
                 assert np.all(a >= b)
             vhat = new
@@ -145,7 +164,7 @@ class TestMimeVhatUpdate:
     def test_single_client_direct(self):
         v_prev = bv(("a", [0.0]))
         vhat_prev = bv(("a", [1e-8]))
-        v, vhat = mime_vhat_update(v_prev, vhat_prev, [bv(("a", [0.2]))], 0.999)
+        v, vhat = mime_vhat_update(v_prev, vhat_prev, blocks.mean([bv(("a", [0.2]))]), 0.999)
         assert v.blocks[0][0] == pytest.approx(4e-5, rel=1e-12)
         assert vhat.blocks[0][0] == pytest.approx(4e-5, rel=1e-12)
 
@@ -153,7 +172,7 @@ class TestMimeVhatUpdate:
         v_prev = bv(("a", [0.4, 0.8]))
         vhat_prev = bv(("a", [1.0, 1.0]))
         v, vhat = mime_vhat_update(
-            v_prev, vhat_prev, [blocks.zeros_like(v_prev)] * 2, 0.9
+            v_prev, vhat_prev, blocks.mean([blocks.zeros_like(v_prev)] * 2), 0.9
         )
         np.testing.assert_allclose(v.blocks[0], [0.36, 0.72], rtol=1e-15)
         assert vhat.blocks[0].tolist() == [1.0, 1.0]
@@ -165,7 +184,7 @@ class TestMimeVhatUpdate:
         ov, ovhat = oracles.to_lists(v), oracles.to_lists(vhat)
         for _ in range(5):
             grads = [random_bv(rng) for _ in range(3)]
-            v, vhat = mime_vhat_update(v, vhat, grads, 0.99)
+            v, vhat = mime_vhat_update(v, vhat, blocks.mean(grads), 0.99)
             ov, ovhat = oracles.o_mime_vhat(ov, ovhat, [oracles.to_lists(g) for g in grads], 0.99)
         oracles.assert_close(oracles.to_lists(v), ov, label="mime v")
         oracles.assert_close(oracles.to_lists(vhat), ovhat, label="mime vhat")
@@ -184,7 +203,7 @@ class TestAdpFedServer:
         theta = bv(("a", [1.0, -2.0, 0.5]))
         server = self._server(theta)
         delta = bv(("a", [0.3, -0.1, 0.7]))
-        adp_fed_server_update(server, [delta], eta_g=0.25, beta1=0.0, beta2=0.0)
+        adp_fed_server_update(server, blocks.mean([delta]), eta_g=0.25, beta1=0.0, beta2=0.0)
         want = theta.blocks[0] + 0.25 * np.sign(delta.blocks[0])
         np.testing.assert_allclose(server.params.blocks[0], want, rtol=1e-12)
 
@@ -193,7 +212,7 @@ class TestAdpFedServer:
         server = self._server(theta)
         server.m = bv(("a", [0.4]))
         server.v = bv(("a", [0.04]))
-        adp_fed_server_update(server, [blocks.zeros_like(theta)], 1.0, 0.9, 0.99)
+        adp_fed_server_update(server, blocks.mean([blocks.zeros_like(theta)]), 1.0, 0.9, 0.99)
         # m -> 0.36, v -> 0.0396, theta += m/sqrt(v)
         assert server.m.blocks[0][0] == pytest.approx(0.36, rel=1e-14)
         assert server.v.blocks[0][0] == pytest.approx(0.0396, rel=1e-14)
@@ -378,7 +397,7 @@ class TestRunRound:
             for _ in range(3):
                 uploaded_params.clear()
                 run_round(server, clients, cfg)
-                mean_params = aggregate_params(uploaded_params)
+                mean_params = blocks.mean(uploaded_params)
                 for theta_i in uploaded_params:
                     assert dist(mean_params, theta_i) <= 1e-12, proto
 
@@ -668,6 +687,39 @@ class TestLockstepGroups:
         monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::-1])
         assert self._run(proto, batch_size) == default
 
+    @pytest.mark.parametrize("proto", PROTOCOLS)
+    def test_uploads_fold_in_ascending_id_whatever_order_groups_finish(self, proto, monkeypatch):
+        # shards of 30 and 36 rows interleave: the groups [0, 2, 3, 5] and
+        # [1, 4, 6] return their uploads as 0, 2, 3, 5, 1, 4, 6, and in
+        # reversed sampling order as 6, 4, 1, 5, 3, 2, 0; the fold holds the
+        # early ones and adds 0, 1, ..., 6 either way. Two sums commute, so it
+        # takes seven uploads for the order to show in the bits.
+        train = gen_blobs(3, 4, per_class=76, separation=4.0, noise=1.0, seed=5)
+        test = gen_blobs(3, 4, per_class=8, separation=4.0, noise=1.0, seed=6)
+        ends = np.cumsum([30, 36, 30, 30, 36, 30, 36])
+        shards = [ClientShard(i, np.arange(hi - n, hi)) for i, (n, hi) in enumerate(zip(np.diff(ends, prepend=0), ends))]
+        kw = dict(eta_global=0.05) if proto == "adp-fed" else {}
+        local, arrivals = federation.local_round, []
+
+        def spy(group, *args):
+            arrivals.append([c.client_id for c in group])
+            return local(group, *args)
+
+        monkeypatch.setattr(federation, "local_round", spy)
+        ascending = federation.sample_clients
+        runs = []
+        for order in (1, -1):
+            monkeypatch.setattr(federation, "sample_clients", lambda *args, order=order: ascending(*args)[::order])
+            cfg = RunConfig(protocol=proto, spec=SPEC, train=train, test=test, shards=shards, alpha=0.05,
+                            batch_size=16, lazy_period=2, seed=5, **kw)
+            server, clients = init_run(cfg)
+            arrivals.clear()
+            rows = [dataclasses.replace(run_round(server, clients, cfg)[0], wall_time=0.0) for _ in range(4)]
+            assert arrivals[:2] == ([[0, 2, 3, 5], [1, 4, 6]] if order == 1 else [[6, 4, 1], [5, 3, 2, 0]])
+            runs.append((rows, [x.data.tobytes() for x in (server.params, server.vhat, server.m, server.v)
+                                if x is not None]))
+        assert runs[0] == runs[1]
+
     def test_groups_split_by_shard_size_and_cut_at_the_stack_bound(self):
         shards = [ClientShard(i, np.arange(n)) for i, n in enumerate((3, 4, 3, 3, 4, 3))]
         assert federation._lockstep_groups([0, 1, 2, 3, 4, 5], shards, 1 << 14) == [[0, 2, 3, 5], [1, 4]]
@@ -711,6 +763,41 @@ class TestLockstepGroups:
         local = info.value.__cause__
         assert type(local) is NumericOverflowError
         assert str(local.__cause__) == "non-finite activations at block 'W1'"
+
+
+class TestRoundMemory:
+    """A round holds one running sum per payload and the clients' carried
+    state, not one vector per participant. Measured with tracemalloc, which
+    sees numpy's buffers, on an MLP 20-3500-10 (p = 108,510, so every
+    lockstep group is one client) with 16 clients of 20 rows."""
+
+    @staticmethod
+    def _peak_vectors(proto, participants):
+        train = gen_blobs(10, 20, per_class=32, separation=6.0, noise=1.5, seed=8)
+        test = gen_blobs(10, 20, per_class=4, separation=6.0, noise=1.5, seed=9)
+        kw = dict(eta_global=0.01) if proto == "adp-fed" else {}
+        cfg = RunConfig(protocol=proto, spec=ModelSpec("mlp", input_dim=20, hidden=(3500,), classes=10),
+                        train=train, test=test, shards=partition_iid(train, 16, seed=8), alpha=0.01,
+                        batch_size=20, participation=participants / 16, seed=8, **kw)
+        server, clients = init_run(cfg)
+        tracemalloc.start()
+        try:
+            run_round(server, clients, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * server.params.dim)
+
+    def test_peak_does_not_grow_with_participants(self):
+        # adp-fed carries nothing on its clients
+        few, many = self._peak_vectors("adp-fed", 4), self._peak_vectors("adp-fed", 16)
+        assert abs(many - few) <= 1.0, (few, many)
+
+    def test_mime_lamb_grows_only_by_its_carried_moment(self):
+        # each first-time participant keeps its own first moment m afterwards;
+        # half a vector allows for the Python objects of twelve more clients
+        few, many = self._peak_vectors("mime-lamb", 4), self._peak_vectors("mime-lamb", 16)
+        assert many - few <= 16 - 4 + 0.5, (few, many)
 
 
 class TestReductionIdentity:

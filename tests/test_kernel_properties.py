@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedlamb.blocks import BlockVector, ew_max, lin_comb, mean, ratio_div, square
-from fedlamb.federation import ClientState, _LocalRound
+from fedlamb.federation import ClientState, LocalResult, UploadFold, _LocalRound
 from fedlamb.optim import IDENTITY, clipped, lamb_step
 
 from helpers import block_norms
@@ -88,6 +88,31 @@ def test_mean(xs):
         acc = [1.0 * p + 1.0 * q for p, q in zip(acc, x.blocks)]
     want = [(1.0 / len(xs)) * p + 0.0 * p for p in acc]
     check(lambda: mean(xs), xs, want)
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(lambda k: vectors(3 * k + 1)), st.data(), st.booleans(), st.booleans())
+def test_upload_fold_is_the_ascending_id_mean(xs, data, gate, delta):
+    """Uploads from 1-8 sampled ids, arriving in any order and grouping, fold
+    to blocks.mean of each payload's list in ascending id, bit for bit; the
+    model as its lin_comb(1, x, -1, base) delta when the fold has a base."""
+    base, xs = xs[0], xs[1:]
+    k = len(xs) // 3
+    ids = sorted(data.draw(st.lists(st.integers(0, 30), min_size=k, max_size=k, unique=True)))
+    uploads = [LocalResult(i, xs[j], v=xs[k + j], full_grad=xs[2 * k + j], grad_evals=i) for j, i in enumerate(ids)]
+    arrival = data.draw(st.permutations(uploads))
+    cuts = [0, *sorted(data.draw(st.sets(st.integers(1, k)))), k]
+    fold = UploadFold(ids[::-1], gate, base if delta else None)
+    for lo, hi in zip(cuts, cuts[1:]):
+        fold.add(arrival[lo:hi])
+    got = fold.mean()
+    assert fold.grad_evals == sum(ids)
+    models = [lin_comb(1.0, u.params, -1.0, base) if delta else u.params for u in uploads]
+    want = {"params": mean(models)}
+    if gate:
+        want.update(v=mean([u.v for u in uploads]), full_grad=mean([u.full_grad for u in uploads]))
+    assert {name: x.data.tobytes() for name, x in got.items()} == {name: x.data.tobytes() for name, x in want.items()}
+    assert all(x.layout is base.layout for x in got.values())
 
 
 @SETTINGS
