@@ -81,9 +81,6 @@ class ClientShard:
     def __len__(self) -> int:
         return self.indices.size
 
-    def view(self, dataset: Dataset) -> Dataset:
-        return dataset.take(self.indices)
-
 
 def load_csv(path, d: int, k: int) -> Dataset:
     """Parse `d` comma-separated features plus one integer label per line."""

@@ -40,7 +40,7 @@ class Protocol:
 
     local: str                    # local step rule: a method of _LocalRound
     server: str                   # server rule: a method of ServerState
-    uplink: tuple[str, ...] = ()  # payloads besides the model: "moment", "gradient"
+    uplink: tuple[str, ...] = ()  # payloads besides the model: "v", "full_grad"
     vhat: bool = False            # keeps a v-hat, broadcast on sync rounds
     delta: bool = False           # the server averages each model's change from theta_bar
 
@@ -48,10 +48,10 @@ class Protocol:
 TABLE = {
     "fed-sgd": Protocol("momentum_sgd", "average"),
     "adp-fed": Protocol("sgd", "adam", delta=True),
-    "fed-ams": Protocol("amsgrad", "max_mean_v", ("moment",), vhat=True),
-    "fed-lamb": Protocol("lamb", "max_mean_v", ("moment",), vhat=True),
-    "mime": Protocol("amsgrad", "full_grad_v", ("gradient",), vhat=True),
-    "mime-lamb": Protocol("lamb", "full_grad_v", ("gradient",), vhat=True),
+    "fed-ams": Protocol("amsgrad", "max_mean_v", ("v",), vhat=True),
+    "fed-lamb": Protocol("lamb", "max_mean_v", ("v",), vhat=True),
+    "mime": Protocol("amsgrad", "full_grad_v", ("full_grad",), vhat=True),
+    "mime-lamb": Protocol("lamb", "full_grad_v", ("full_grad",), vhat=True),
 }
 PROTOCOLS = tuple(TABLE)
 
@@ -145,9 +145,8 @@ class RunConfig(RunSettings):
 @dataclass
 class ServerState:
     """The global model and server statistics. Its methods are the server
-    rules; each takes the round's mean uploads, keyed by `LocalResult` field
-    (see `UploadFold`): "params" always, "v" and "full_grad" on sync rounds
-    when the protocol uploads them."""
+    rules; each takes the round's mean uploads by payload name (see
+    `UploadFold`): "params" always, the protocol's uplink on sync rounds."""
 
     params: BlockVector
     vhat: BlockVector | None = None  # adaptive protocols
@@ -155,21 +154,21 @@ class ServerState:
     v: BlockVector | None = None     # adp-fed server Adam / mime moment
     round_index: int = 0
 
-    def average(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
+    def average(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
         self.params = mean["params"]
 
-    def adam(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
+    def adam(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
         """The models were folded as their deltas from theta_bar (`Protocol.delta`)."""
         adp_fed_server_update(self, mean["params"], cfg.eta_global, cfg.beta1, cfg.beta2)
 
-    def max_mean_v(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
-        self.average(mean, cfg, gate)
-        if gate:
+    def max_mean_v(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
+        self.average(mean, cfg)
+        if "v" in mean:
             self.vhat = aggregate_vhat_fedlamb(self.vhat, mean["v"])
 
-    def full_grad_v(self, mean: dict[str, BlockVector], cfg: RunConfig, gate: bool) -> None:
-        self.average(mean, cfg, gate)
-        if gate:
+    def full_grad_v(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
+        self.average(mean, cfg)
+        if "full_grad" in mean:
             self.v, self.vhat = mime_vhat_update(self.v, self.vhat, mean["full_grad"], cfg.beta2)
 
 
@@ -210,15 +209,6 @@ class RoundMetrics:
     downlink_floats: int
     grad_evals: int
     wall_time: float
-
-
-@dataclass
-class LocalResult:
-    client_id: int
-    params: BlockVector
-    v: BlockVector | None = None
-    full_grad: BlockVector | None = None
-    grad_evals: int = 0
 
 
 def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
@@ -273,20 +263,19 @@ def local_round(
     r: int,
     alpha_r: float,
     denoms: dict,
-) -> list[LocalResult]:
+) -> dict[str, np.ndarray]:
     """One lockstep group's local training for round r: T epochs of the
     protocol's local step rule from the broadcast model, each client against
     its own v-hat, all clients stepping at once. The group's shards have one
-    size. Returns, per client, exactly the payloads the protocol uploads;
-    carried buffers stay on the clients. `denoms` holds each v-hat's
-    denominator by id for the round's groups to share."""
+    size. Returns its uploads ("params" and the protocol's uplink) as (K, p)
+    buffers, one row per client; carried buffers stay on the clients. `denoms`
+    holds each v-hat's denominator by id for the round's groups to share."""
     proto = TABLE[cfg.protocol]
     T, b = cfg.local_epochs, cfg.batch_size
     idx = np.stack([cfg.shards[c.client_id].indices for c in group])  # (K, n) sample positions
     n = idx.shape[1]
-    uploads_grad = "gradient" in proto.uplink  # charged as one more pass over the shard
-    results = [LocalResult(c.client_id, theta_bar, grad_evals=(T + uploads_grad) * n) for c in group]
-    s = _LocalRound(cfg, alpha_r, theta_bar, group, "moment" in proto.uplink, denoms)
+    uploads_grad = "full_grad" in proto.uplink
+    s = _LocalRound(cfg, alpha_r, theta_bar, group, proto.local, "v" in proto.uplink, denoms)
     stack = Stack(cfg.spec, s.layout, s.theta)
 
     def grad(rows: np.ndarray, what: str) -> np.ndarray:  # one stacked pass, into stack.grad
@@ -309,24 +298,20 @@ def local_round(
                 upload = g.copy()
             rule(s, g)
 
-    for k, (client, res) in enumerate(zip(group, results)):
-        if s.m is not None:  # copied out of a shared stack, or an unsampled client would keep it alive
+    if s.m is not None:  # copied out of a shared stack, or an unsampled client would keep it alive
+        for k, client in enumerate(group):
             client.m = BlockVector(s.layout, s.m[k].copy() if len(group) > 1 else s.m[k])
-        res.params = BlockVector(s.layout, s.theta[k])
-        if s.v is not None:
-            res.v = BlockVector(s.layout, s.v[k])
-        if upload is not None:
-            res.full_grad = BlockVector(s.layout, upload[k])
-    return results
+    payloads = {"params": s.theta, "v": s.v, "full_grad": upload}
+    return {name: payloads[name] for name in ("params", *proto.uplink)}
 
 
 class _LocalRound:
     """One lockstep group's local round in progress; its methods are the local
     step rules. It owns mutable (K, p) buffers, one row per client, copied once
     from the broadcast read-only vectors and updated in place by every step;
-    local_round hands out their rows at round end."""
+    local_round hands them out by payload name at round end."""
 
-    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], track_v: bool, denoms: dict):
+    def __init__(self, cfg, lr, theta_bar, group: list[ClientState], rule: str, track_v: bool, denoms: dict):
         self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
 
         def rows(vectors):  # np.array copies a little faster than np.stack
@@ -338,7 +323,7 @@ class _LocalRound:
         self.v = rows([c.vhat for c in group]) if track_v else None
         # sqrt(max(v-hat, eps)), the scale the adaptive steps divide by, computed
         # read-only once per v-hat into `denoms` by id (clients hold theirs all round);
-        # a group that shares one divides by a (1, p) row, fed-ams raises its own copy
+        # a group that shares one divides by a (1, p) row, unless amsgrad raises its copies to v
         self.denom = None
         if group[0].vhat is not None:
             for c in group:
@@ -346,7 +331,8 @@ class _LocalRound:
                     d = denoms[id(c.vhat)] = denominator(c.vhat.data, cfg.eps, out=np.empty(theta_bar.dim))
                     d.flags.writeable = False
             ds = [denoms[id(c.vhat)] for c in group]
-            self.denom = ds[0][None] if not track_v and all(d is ds[0] for d in ds) else np.array(ds)
+            shared = all(d is ds[0] for d in ds) and not (track_v and rule == "amsgrad")
+            self.denom = ds[0][None] if shared else np.array(ds)
         self.tmp = np.empty_like(self.theta)
 
     def sgd(self, g: np.ndarray) -> None:
@@ -378,32 +364,26 @@ class _LocalRound:
 
 class UploadFold:
     """A round's uploads, folded as their lockstep groups finish into one
-    running sum per payload, in ascending sampled-id order, with
-    `blocks.mean`'s operations (copy the first, add the rest in place, scale
-    by 1/n), so each mean is its mean of the ascending-id list, bit for bit.
-    An upload that arrives before a lower sampled id waits in `held`. The
-    model ("params") is folded every round, as its delta x - base when a base
+    running sum per payload named in `fields`, in ascending sampled-id order,
+    with `blocks.mean`'s operations (copy the first, add the rest in place,
+    scale by 1/n), so each mean is its mean of the ascending-id list, bit for
+    bit. A client's row that arrives before a lower sampled id waits in
+    `held`. The model ("params") is folded as its delta x - base when a base
     is given (lin_comb(1.0, x, -1.0, base) bit for bit: IEEE subtraction adds
-    the negation); "v" and "full_grad" on `gate` rounds if uploaded."""
+    the negation)."""
 
-    def __init__(self, ids, gate: bool, base: BlockVector | None = None):
+    def __init__(self, ids, fields: tuple[str, ...], layout, base: BlockVector | None = None):
         self.pending = sorted(map(int, ids), reverse=True)  # ids still to fold; the next is last
-        self.fields = ("params", "v", "full_grad") if gate else ("params",)
-        self.base, self.held, self.sums, self.layout, self.n, self.grad_evals = base, {}, {}, None, 0, 0
+        self.fields, self.layout, self.base, self.held, self.sums, self.n = fields, layout, base, {}, {}, 0
 
-    def add(self, uploads: list[LocalResult]) -> None:
-        """Folds what it can of one group's uploads; the rest wait for lower ids."""
-        for upload in uploads:
-            self.held[upload.client_id] = upload
-            self.grad_evals += upload.grad_evals
+    def add(self, group_ids, rows: dict[str, np.ndarray]) -> None:
+        """Folds what it can of one group's (K, p) rows, row k group_ids[k]'s; the rest wait for lower ids."""
+        for k, i in enumerate(group_ids):
+            self.held[int(i)] = [rows[name][k] for name in self.fields]
         while self.pending and self.pending[-1] in self.held:
-            res = self.held.pop(self.pending.pop())
-            self.layout = res.params.layout
-            for name in self.fields:
-                x = getattr(res, name)
-                if x is None:
-                    continue
-                x = x.data if name != "params" or self.base is None else x.data - self.base.data
+            for name, x in zip(self.fields, self.held.pop(self.pending.pop())):
+                if name == "params" and self.base is not None:
+                    x = x - self.base.data
                 if name in self.sums:
                     self.sums[name] += x
                 else:
@@ -463,8 +443,8 @@ def comm_account(protocol: str, p: int, participants: int, r: int, Z: int) -> Co
     return CommEntry(
         round=r,
         uplink_model=tensors,
-        uplink_moment=tensors if "moment" in proto.uplink else 0,
-        uplink_gradient=tensors if "gradient" in proto.uplink else 0,
+        uplink_moment=tensors if "v" in proto.uplink else 0,
+        uplink_gradient=tensors if "full_grad" in proto.uplink else 0,
         downlink_model=tensors,
         downlink_moment=tensors if proto.vhat and lazy_sync_gate(r, Z) else 0,
     )
@@ -491,10 +471,11 @@ def run_round(
                 clients[i].vhat = server.vhat
 
         alpha_r = milestone_lr(cfg.alpha, r, cfg.milestones, cfg.lr_factor)
-        fold, denoms = UploadFold(ids, gate, server.params if proto.delta else None), {}
+        fields = ("params", *proto.uplink) if gate else ("params",)
+        fold, denoms = UploadFold(ids, fields, server.params.layout, server.params if proto.delta else None), {}
         for group in _lockstep_groups(ids, cfg.shards, server.params.dim):
-            fold.add(local_round([clients[i] for i in group], server.params, cfg, r, alpha_r, denoms))
-        getattr(server, proto.server)(fold.mean(), cfg, gate)
+            fold.add(group, local_round([clients[i] for i in group], server.params, cfg, r, alpha_r, denoms))
+        getattr(server, proto.server)(fold.mean(), cfg)
         server.round_index = r
 
         comm = comm_account(cfg.protocol, server.params.dim, len(ids), r, cfg.lazy_period)
@@ -510,7 +491,8 @@ def run_round(
         grad_norm_sq=blocks.norm_sq(grad),
         uplink_floats=comm.uplink_total,
         downlink_floats=comm.downlink_total,
-        grad_evals=fold.grad_evals,
+        # T epochs over each sampled shard, and Mime's upload as one more pass
+        grad_evals=(cfg.local_epochs + ("full_grad" in proto.uplink)) * sum(len(cfg.shards[i]) for i in ids),
         wall_time=time.perf_counter() - t0,
     )
     return metrics, comm

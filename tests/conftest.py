@@ -37,10 +37,10 @@ def uploaded_params(monkeypatch):
     uploaded model, in the order the lockstep groups ran."""
     local_round, uploads = federation.local_round, []
 
-    def spy(*args):
-        results = local_round(*args)
-        uploads.extend(res.params for res in results)
-        return results
+    def spy(group, theta_bar, *args):
+        rows = local_round(group, theta_bar, *args)
+        uploads.extend(BlockVector(theta_bar.layout, row) for row in rows["params"])
+        return rows
 
     monkeypatch.setattr(federation, "local_round", spy)
     return uploads

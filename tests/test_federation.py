@@ -13,7 +13,6 @@ from fedlamb.data import ClientShard, Dataset, gen_blobs, partition_iid
 from fedlamb.federation import (
     PROTOCOLS,
     TABLE,
-    LocalResult,
     ProtocolError,
     RoundError,
     RunConfig,
@@ -52,9 +51,9 @@ def dist(a, b):
 
 def fold_params(xs):
     """The round fold's mean of the models `xs`, uploaded by clients 0, 1, ... in turn."""
-    fold = UploadFold(range(len(xs)), gate=True)
+    fold = UploadFold(range(len(xs)), ("params",), xs[0].layout if xs else None)
     for i, x in enumerate(xs):
-        fold.add([LocalResult(i, x)])
+        fold.add([i], {"params": x.data[None]})
     return fold.mean()["params"]
 
 
@@ -130,9 +129,9 @@ class TestAggregateParams:
     def test_missing_upload_is_protocol_error(self):
         # client 1 was sampled but never uploaded: client 2's upload waits and
         # the fold refuses to average an incomplete round
-        fold = UploadFold([0, 1, 2], gate=False)
+        fold = UploadFold([0, 1, 2], ("params",), bv(("a", [0.0])).layout)
         for i in (0, 2):
-            fold.add([LocalResult(i, bv(("a", [float(i)])))])
+            fold.add([i], {"params": bv(("a", [float(i)])).data[None]})
         with pytest.raises(ProtocolError, match="sampled client 1"):
             fold.mean()
 
@@ -259,8 +258,19 @@ class TestLocalRound:
         )
         server, clients = init_run(cfg)
         theta0 = blocks.zeros_like(server.params)
-        [res] = local_round([clients[0]], theta0, cfg, r=1, alpha_r=0.5, denoms={})
-        assert all(np.array_equal(a, b) for a, b in zip(res.params.blocks, theta0.blocks))
+        [row] = local_round([clients[0]], theta0, cfg, r=1, alpha_r=0.5, denoms={})["params"]
+        assert all(np.array_equal(a, b) for a, b in zip(BlockVector(theta0.layout, row).blocks, theta0.blocks))
+
+    @pytest.mark.parametrize("proto,rows", [("fed-lamb", 1), ("mime-lamb", 1), ("mime", 1), ("fed-ams", 3)])
+    def test_only_fed_ams_copies_a_shared_denominator(self, proto, rows):
+        # three clients holding one v-hat divide by its denominator as one
+        # read-only (1, p) row; fed-ams raises its own copies to its v in place
+        cfg = make_cfg(proto, n=3)
+        server, clients = init_run(cfg)
+        rule = TABLE[proto]
+        s = federation._LocalRound(cfg, 0.01, server.params, clients, rule.local, "v" in rule.uplink, {})
+        assert s.denom.shape == (rows, server.params.dim)
+        assert s.denom.flags.writeable == (rows > 1)
 
     def test_fed_lamb_displacement_law(self, lamb_displacements):
         cfg = make_cfg("fed-lamb", n=2, batch_size=10_000)
@@ -281,13 +291,14 @@ class TestLocalRound:
         server, clients = init_run(cfg)
         full, calls = federation.full_gradient, []
         monkeypatch.setattr(federation, "full_gradient", lambda *args: calls.append(args) or full(*args))
-        results = local_round(clients[:size], server.params, cfg, 1, 0.01, {})
+        uploads = local_round(clients[:size], server.params, cfg, 1, 0.01, {})
         assert not calls
-        for res, client in zip(results, clients):
+        for row, client in zip(uploads["full_grad"], clients):
             shard = cfg.shards[client.client_id]
-            _, want = full(cfg.spec, server.params, shard.view(cfg.train))
-            assert np.array_equal(res.full_grad.data, want.data)
-            assert res.grad_evals == cfg.local_epochs * len(shard) + len(shard)
+            _, want = full(cfg.spec, server.params, cfg.train.take(shard.indices))
+            assert np.array_equal(row, want.data)
+        m, _ = run_round(server, clients, cfg)
+        assert m.grad_evals == sum(cfg.local_epochs * len(shard) + len(shard) for shard in cfg.shards)
 
     @pytest.mark.parametrize("size", (1, 3))
     @pytest.mark.parametrize("proto", ("mime", "mime-lamb"))
@@ -299,13 +310,14 @@ class TestLocalRound:
         server, clients = init_run(cfg)
         full, calls = federation.full_gradient, []
         monkeypatch.setattr(federation, "full_gradient", lambda *args: calls.append(args) or full(*args))
-        results = local_round(clients[:size], server.params, cfg, 1, 0.01, {})
+        uploads = local_round(clients[:size], server.params, cfg, 1, 0.01, {})
         assert not calls
-        for res, client in zip(results, clients):
+        for row, client in zip(uploads["full_grad"], clients):
             shard = cfg.shards[client.client_id]
-            _, want = full(cfg.spec, server.params, shard.view(cfg.train))
-            assert np.array_equal(res.full_grad.data, want.data)
-            assert res.grad_evals == cfg.local_epochs * len(shard) + len(shard)
+            _, want = full(cfg.spec, server.params, cfg.train.take(shard.indices))
+            assert np.array_equal(row, want.data)
+        m, _ = run_round(server, clients, cfg)
+        assert m.grad_evals == sum(cfg.local_epochs * len(shard) + len(shard) for shard in cfg.shards)
 
 
 class TestLazySync:
@@ -588,40 +600,34 @@ class TestRunRound:
         local = federation.local_round
         for proto in TABLE:
             seen = []
-            monkeypatch.setattr(
-                federation, "local_round", lambda *args: seen.extend(local(*args)) or seen[-len(args[0]):]
-            )
+            monkeypatch.setattr(federation, "local_round", lambda *args: seen.append(local(*args)) or seen[-1])
             cfg = make_cfg(proto, n=3, batch_size=8)
             server, clients = init_run(cfg)
             given = [held(c) for c in clients]
             _, comm = run_round(server, clients, cfg)
             monkeypatch.undo()
-            assert len(seen) == 3, proto
+            assert sum(len(res["params"]) for res in seen) == 3, proto
             for res in seen:
-                assert (res.v is not None) == (comm.uplink_moment > 0), proto
-                assert (res.full_grad is not None) == (comm.uplink_gradient > 0), proto
+                assert ("v" in res) == (comm.uplink_moment > 0), proto
+                assert ("full_grad" in res) == (comm.uplink_gradient > 0), proto
             assert [held(c) for c in clients] == given, proto
             assert all((c.m is not None) == (proto != "adp-fed") for c in clients), proto
 
     @pytest.mark.parametrize("order", (1, -1))
     @pytest.mark.parametrize("proto", list(TABLE))
-    def test_in_place_local_rounds_leave_shared_vectors_unchanged(self, proto, order, monkeypatch):
+    def test_in_place_local_rounds_leave_shared_vectors_unchanged(self, proto, order, monkeypatch, uploaded_params):
         # local rounds write only into buffers they own: after each round the
         # previous global model, the broadcast v-hat, the shared init zeros,
         # unsampled clients' buffers and earlier rounds' uploads are bit-unchanged
         ascending = federation.sample_clients
         monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::order])
-        local, uploads = federation.local_round, []
-        monkeypatch.setattr(
-            federation, "local_round", lambda *args: uploads.extend(local(*args)) or uploads[-len(args[0]):]
-        )
         cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, alpha=0.05, lam=0.01)
         server, clients = init_run(cfg)
         watched = [b for c in clients for b in (c.m, c.vhat) if b is not None]
         for r in range(1, 5):
             sampled = set(ascending(cfg.n, cfg.participation, r, cfg.seed).tolist())
             watched += [x for x in (server.params, server.vhat) if x is not None]
-            watched += [res.params for res in uploads]
+            watched += uploaded_params
             watched += [b for c in clients if c.client_id not in sampled
                         for b in (c.m, c.vhat) if b is not None]
             bits = [(x, x.data.tobytes()) for x in watched]

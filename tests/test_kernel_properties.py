@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedlamb.blocks import BlockVector, ew_max, lin_comb, mean, ratio_div, square
-from fedlamb.federation import ClientState, LocalResult, UploadFold, _LocalRound
+from fedlamb.federation import ClientState, UploadFold, _LocalRound
 from fedlamb.optim import IDENTITY, clipped, lamb_step
 
 from helpers import block_norms
@@ -99,14 +99,17 @@ def test_upload_fold_is_the_ascending_id_mean(xs, data, gate, delta):
     base, xs = xs[0], xs[1:]
     k = len(xs) // 3
     ids = sorted(data.draw(st.lists(st.integers(0, 30), min_size=k, max_size=k, unique=True)))
-    uploads = [LocalResult(i, xs[j], v=xs[k + j], full_grad=xs[2 * k + j], grad_evals=i) for j, i in enumerate(ids)]
+    uploads = [SimpleNamespace(client_id=i, params=xs[j], v=xs[k + j], full_grad=xs[2 * k + j])
+               for j, i in enumerate(ids)]
     arrival = data.draw(st.permutations(uploads))
     cuts = [0, *sorted(data.draw(st.sets(st.integers(1, k)))), k]
-    fold = UploadFold(ids[::-1], gate, base if delta else None)
+    fields = ("params", "v", "full_grad") if gate else ("params",)
+    fold = UploadFold(ids[::-1], fields, base.layout, base if delta else None)
     for lo, hi in zip(cuts, cuts[1:]):
-        fold.add(arrival[lo:hi])
+        group = arrival[lo:hi]
+        fold.add([u.client_id for u in group],
+                 {name: np.array([getattr(u, name).data for u in group]) for name in ("params", "v", "full_grad")})
     got = fold.mean()
-    assert fold.grad_evals == sum(ids)
     models = [lin_comb(1.0, u.params, -1.0, base) if delta else u.params for u in uploads]
     want = {"params": mean(models)}
     if gate:
@@ -255,7 +258,7 @@ def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, 
     vhats = [BlockVector(theta.layout, np.abs(x.data)) for x in (grads[0], theta)]
     cfg = SimpleNamespace(beta1=0.9, beta2=0.999, lam=lam, eps=eps, phi=phi, momentum=0.9)
     group = [ClientState(i, m, vhat) for i, vhat in enumerate(vhats)]
-    s = _LocalRound(cfg, lr, theta, group, track_v, {})
+    s = _LocalRound(cfg, lr, theta, group, rule, track_v, {})
     wants = [dict(theta=theta, m=m, v=vhat if track_v else None, vhat=vhat) for vhat in vhats]
     inputs = [x.data.tobytes() for x in (theta, m, *vhats)]
     rule_fn = getattr(_LocalRound, rule)
