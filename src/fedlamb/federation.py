@@ -23,8 +23,8 @@ import numpy as np
 from . import blocks
 from .blocks import BlockVector, lin_comb, ew_max, ratio_div, square
 from .data import ClientShard, Dataset, minibatch_stream
-# ratio_div and forward_loss are not called here, but perfbench's tracer reports
-# blocks.ratio_div and the metric pass only when it finds them under federation's names.
+# lin_comb, square, ratio_div and forward_loss are not called here, but perfbench's tracer reports
+# those kernels and the metric pass only when it finds them under federation's names.
 from .models import (
     ModelSpec, NumericOverflowError, Stack, backward, evaluate, forward_loss, full_gradient, init_params,
 )
@@ -146,20 +146,32 @@ class RunConfig(RunSettings):
 class ServerState:
     """The global model and server statistics. Its methods are the server
     rules; each takes the round's mean uploads by payload name (see
-    `UploadFold`): "params" always, the protocol's uplink on sync rounds."""
+    `UploadFold`): "params" always, the protocol's uplink on sync rounds.
+    They replace `params` and `vhat` with fresh read-only vectors, since
+    clients keep what they were sent, and update `m` and `v` in place."""
 
     params: BlockVector
     vhat: BlockVector | None = None  # adaptive protocols
-    m: BlockVector | None = None     # adp-fed server Adam
-    v: BlockVector | None = None     # adp-fed server Adam / mime moment
+    m: np.ndarray | None = None      # adp-fed server Adam
+    v: np.ndarray | None = None      # adp-fed server Adam / mime moment
     round_index: int = 0
 
     def average(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
         self.params = mean["params"]
 
     def adam(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
-        """The models were folded as their deltas from theta_bar (`Protocol.delta`)."""
-        adp_fed_server_update(self, mean["params"], cfg.eta_global, cfg.beta1, cfg.beta2)
+        """Server Adam on the mean model delta (folded from theta_bar, `Protocol.delta`):
+        theta' = theta + eta_g * m / sqrt(v), the adaptive step at rate -eta_g, whose
+        plus sign is correct because each delta accumulates negative local gradient
+        steps. No floor is applied beyond v's positive initialization."""
+        theta, tmp = self.params.data.copy(), np.empty(self.params.dim)
+        moment_update(self.m, self.v, mean["params"].data, cfg.beta1, cfg.beta2, tmp=tmp)
+        amsgrad_step(theta, self.m, np.sqrt(self.v), -cfg.eta_global, tmp=tmp)
+        if not np.isfinite(theta).all():  # e.g. 0/0 where a coordinate's deltas and v are all 0
+            names, slices = self.params.names, self.params.layout.slices
+            block = next(n for n, s in zip(names, slices) if not np.isfinite(theta[s]).all())
+            raise NumericOverflowError(f"server adam step: non-finite parameters at block {block!r}")
+        self.params = BlockVector(self.params.layout, theta)
 
     def max_mean_v(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
         self.average(mean, cfg)
@@ -169,7 +181,7 @@ class ServerState:
     def full_grad_v(self, mean: dict[str, BlockVector], cfg: RunConfig) -> None:
         self.average(mean, cfg)
         if "full_grad" in mean:
-            self.v, self.vhat = mime_vhat_update(self.v, self.vhat, mean["full_grad"], cfg.beta2)
+            self.vhat = mime_vhat_update(self.v, self.vhat, mean["full_grad"], cfg.beta2)
 
 
 @dataclass
@@ -221,9 +233,9 @@ def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
     if proto.vhat:
         server.vhat = blocks.full_like(params, cfg.eps)
     if proto.server == "full_grad_v":
-        server.v = zeros
+        server.v = np.zeros(params.dim)
     elif proto.server == "adam":
-        server.m, server.v = zeros, blocks.full_like(params, cfg.eps)
+        server.m, server.v = np.zeros(params.dim), np.full(params.dim, cfg.eps)
     m = None if proto.local == "sgd" else zeros
     clients = [ClientState(i, m, server.vhat) for i in range(cfg.n)]
     return server, clients
@@ -408,28 +420,13 @@ def aggregate_vhat_fedlamb(vhat_prev: BlockVector, vbar: BlockVector) -> BlockVe
     return ew_max(vhat_prev, vbar)
 
 
-def mime_vhat_update(
-    v_prev: BlockVector, vhat_prev: BlockVector, gbar: BlockVector, beta2: float
-) -> tuple[BlockVector, BlockVector]:
-    """Server-side moment update from the mean of the full-data gradients at
-    the global model: decayed square accumulation, coordinatewise cap."""
-    v = lin_comb(beta2, v_prev, 1.0 - beta2, square(gbar))
-    return v, ew_max(vhat_prev, v)
-
-
-def adp_fed_server_update(
-    server: ServerState, dbar: BlockVector, eta_g: float, beta1: float, beta2: float
-) -> None:
-    """Server Adam step on the mean model delta.
-
-    theta' = theta + eta_g * m / sqrt(v): the plus sign is correct because
-    each delta accumulates negative local gradient steps. No floor is
-    applied beyond v's positive initialization.
-    """
-    server.m = lin_comb(beta1, server.m, 1.0 - beta1, dbar)
-    server.v = lin_comb(beta2, server.v, 1.0 - beta2, square(dbar))
-    update = BlockVector(server.m.layout, server.m.data / np.sqrt(server.v.data))
-    server.params = lin_comb(1.0, server.params, eta_g, update)
+def mime_vhat_update(v: np.ndarray, vhat_prev: BlockVector, gbar: BlockVector, beta2: float) -> BlockVector:
+    """Server-side moment update from the mean of the full-data gradients at the
+    global model: decayed square accumulation into the server's v, in place, and
+    the coordinatewise cap max(v-hat, v) as a fresh vector."""
+    out = np.empty_like(v)  # the recursion's scratch, then the cap
+    moment_update(None, v, gbar.data, 0.0, beta2, tmp=out)
+    return BlockVector(vhat_prev.layout, np.maximum(vhat_prev.data, v, out=out))
 
 
 def comm_account(protocol: str, p: int, participants: int, r: int, Z: int) -> CommEntry:

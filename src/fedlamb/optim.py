@@ -1,5 +1,5 @@
-"""Per-client optimizer step rules: SGD, the AMSGrad moment recursion and
-the layer-wise trust-ratio step.
+"""Optimizer step rules, the clients' and the server's: SGD, the AMSGrad
+moment recursion and the layer-wise trust-ratio step.
 
 The steps update float64 buffers in place, using numpy `out=` operations;
 `tmp` is caller-owned scratch of the same shape. A buffer is one vector or a
@@ -78,10 +78,11 @@ def sgd_step(theta, g, alpha: float, buf=None, mu: float = 0.0, *, tmp) -> None:
 
 def moment_update(m, v, g, beta1: float, beta2: float, *, tmp) -> None:
     """In place, one step of the moment recursion (no bias correction):
-    m <- beta1*m + (1-beta1)*g and, unless v is None, v <- beta2*v + (1-beta2)*g^2."""
-    m *= beta1
-    np.multiply(g, 1.0 - beta1, out=tmp)
-    m += tmp
+    m <- beta1*m + (1-beta1)*g and v <- beta2*v + (1-beta2)*g^2, each unless it is None."""
+    if m is not None:
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m += tmp
     if v is not None:
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - beta2

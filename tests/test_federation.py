@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fedlamb.federation import (
     RunConfig,
     ServerState,
     UploadFold,
-    adp_fed_server_update,
     aggregate_vhat_fedlamb,
     comm_account,
     init_run,
@@ -161,31 +161,31 @@ class TestAggregateVhat:
 
 class TestMimeVhatUpdate:
     def test_single_client_direct(self):
-        v_prev = bv(("a", [0.0]))
+        v = np.array([0.0])
         vhat_prev = bv(("a", [1e-8]))
-        v, vhat = mime_vhat_update(v_prev, vhat_prev, blocks.mean([bv(("a", [0.2]))]), 0.999)
-        assert v.blocks[0][0] == pytest.approx(4e-5, rel=1e-12)
+        vhat = mime_vhat_update(v, vhat_prev, blocks.mean([bv(("a", [0.2]))]), 0.999)
+        assert v[0] == pytest.approx(4e-5, rel=1e-12)
         assert vhat.blocks[0][0] == pytest.approx(4e-5, rel=1e-12)
 
     def test_zero_gradients_decay_only(self):
-        v_prev = bv(("a", [0.4, 0.8]))
+        v = np.array([0.4, 0.8])
         vhat_prev = bv(("a", [1.0, 1.0]))
-        v, vhat = mime_vhat_update(
-            v_prev, vhat_prev, blocks.mean([blocks.zeros_like(v_prev)] * 2), 0.9
+        vhat = mime_vhat_update(
+            v, vhat_prev, blocks.mean([blocks.zeros_like(vhat_prev)] * 2), 0.9
         )
-        np.testing.assert_allclose(v.blocks[0], [0.36, 0.72], rtol=1e-15)
+        np.testing.assert_allclose(v, [0.36, 0.72], rtol=1e-15)
         assert vhat.blocks[0].tolist() == [1.0, 1.0]
 
     def test_five_round_scalar_oracle(self):
         rng = np.random.default_rng(2)
-        v = blocks.zeros_like(random_bv(rng))
-        vhat = blocks.full_like(v, 1e-8)
-        ov, ovhat = oracles.to_lists(v), oracles.to_lists(vhat)
+        vhat = blocks.full_like(random_bv(rng), 1e-8)
+        v = np.zeros(vhat.dim)
+        ov, ovhat = oracles.to_lists(BlockVector(vhat.layout, v.copy())), oracles.to_lists(vhat)
         for _ in range(5):
             grads = [random_bv(rng) for _ in range(3)]
-            v, vhat = mime_vhat_update(v, vhat, blocks.mean(grads), 0.99)
+            vhat = mime_vhat_update(v, vhat, blocks.mean(grads), 0.99)
             ov, ovhat = oracles.o_mime_vhat(ov, ovhat, [oracles.to_lists(g) for g in grads], 0.99)
-        oracles.assert_close(oracles.to_lists(v), ov, label="mime v")
+        oracles.assert_close(oracles.to_lists(BlockVector(vhat.layout, v.copy())), ov, label="mime v")
         oracles.assert_close(oracles.to_lists(vhat), ovhat, label="mime vhat")
 
 
@@ -193,8 +193,8 @@ class TestAdpFedServer:
     def _server(self, params, eps=1e-8):
         return ServerState(
             params=params,
-            m=blocks.zeros_like(params),
-            v=blocks.full_like(params, eps),
+            m=np.zeros(params.dim),
+            v=np.full(params.dim, eps),
         )
 
     def test_degenerate_sign_step(self):
@@ -202,21 +202,43 @@ class TestAdpFedServer:
         theta = bv(("a", [1.0, -2.0, 0.5]))
         server = self._server(theta)
         delta = bv(("a", [0.3, -0.1, 0.7]))
-        adp_fed_server_update(server, blocks.mean([delta]), eta_g=0.25, beta1=0.0, beta2=0.0)
+        server.adam({"params": blocks.mean([delta])}, SimpleNamespace(eta_global=0.25, beta1=0.0, beta2=0.0))
         want = theta.blocks[0] + 0.25 * np.sign(delta.blocks[0])
         np.testing.assert_allclose(server.params.blocks[0], want, rtol=1e-12)
 
     def test_zero_deltas_decay(self):
         theta = bv(("a", [1.0]))
         server = self._server(theta)
-        server.m = bv(("a", [0.4]))
-        server.v = bv(("a", [0.04]))
-        adp_fed_server_update(server, blocks.mean([blocks.zeros_like(theta)]), 1.0, 0.9, 0.99)
+        server.m = np.array([0.4])
+        server.v = np.array([0.04])
+        server.adam({"params": blocks.mean([blocks.zeros_like(theta)])},
+                    SimpleNamespace(eta_global=1.0, beta1=0.9, beta2=0.99))
         # m -> 0.36, v -> 0.0396, theta += m/sqrt(v)
-        assert server.m.blocks[0][0] == pytest.approx(0.36, rel=1e-14)
-        assert server.v.blocks[0][0] == pytest.approx(0.0396, rel=1e-14)
+        assert server.m[0] == pytest.approx(0.36, rel=1e-14)
+        assert server.v[0] == pytest.approx(0.0396, rel=1e-14)
         want = 1.0 + 0.36 / math.sqrt(0.0396)
         assert server.params.blocks[0][0] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_over_zero_names_the_server_step(self):
+        # feature 3 is 0 in every training row, so its weight's mean delta is
+        # exactly 0; at beta2 = 0 its v is 0 too and the step is 0/0
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((16, 4))
+        features[:, 3] = 0.0
+        train = Dataset(features, (features[:, 0] > 0).astype(int), 2)
+        shards = [ClientShard(0, np.arange(8)), ClientShard(1, np.arange(8, 16))]
+
+        def run(beta2):
+            cfg = RunConfig(protocol="adp-fed", spec=ModelSpec("logistic", input_dim=4), train=train, test=train,
+                            shards=shards, alpha=0.1, eta_global=0.01, beta2=beta2, batch_size=4, seed=0)
+            server, clients = init_run(cfg)
+            return [run_round(server, clients, cfg)[0] for _ in range(2)]
+
+        assert all(math.isfinite(m.train_loss) for m in run(0.5))
+        with pytest.raises(NumericOverflowError) as info:
+            run(0.0)
+        assert str(info.value) == "round 1: server adam step: non-finite parameters at block 'w'"
 
     def test_two_round_transcription_oracle(self):
         # full protocol run vs an explicit flat-array rewrite of the server
@@ -624,6 +646,13 @@ class TestRunRound:
         cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, alpha=0.05, lam=0.01)
         server, clients = init_run(cfg)
         watched = [b for c in clients for b in (c.m, c.vhat) if b is not None]
+
+        def no_client_holds_server_buffers():
+            # the server rules write server.m and server.v in place
+            return not any(np.shares_memory(b.data, x) for c in clients for b in (c.m, c.vhat) if b is not None
+                           for x in (server.m, server.v) if x is not None)
+
+        assert no_client_holds_server_buffers(), proto
         for r in range(1, 5):
             sampled = set(ascending(cfg.n, cfg.participation, r, cfg.seed).tolist())
             watched += [x for x in (server.params, server.vhat) if x is not None]
@@ -633,6 +662,7 @@ class TestRunRound:
             bits = [(x, x.data.tobytes()) for x in watched]
             run_round(server, clients, cfg)
             assert all(x.data.tobytes() == b for x, b in bits), (proto, r)
+            assert no_client_holds_server_buffers(), (proto, r)
 
     def test_grad_evals_double_for_mime(self):
         shared = dict(n=2, batch_size=8, seed=6)

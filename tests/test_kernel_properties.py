@@ -1,6 +1,7 @@
 """Property tests: every flat kernel equals a per-block numpy reference bit for
 bit, keeps its input's layout object and leaves its inputs untouched; every
-in-place local step rule equals the chain of those kernels bit for bit.
+in-place local step rule and server rule equals the chain of those kernels
+bit for bit.
 
 The references are the per-block loops the kernels replaced: one numpy
 expression per block, the same arithmetic in the same order.
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedlamb.blocks import BlockVector, ew_max, lin_comb, mean, ratio_div, square
-from fedlamb.federation import ClientState, UploadFold, _LocalRound
+from fedlamb.federation import ClientState, ServerState, UploadFold, _LocalRound, mime_vhat_update
+from fedlamb.models import NumericOverflowError
 from fedlamb.optim import IDENTITY, clipped, lamb_step
 
 from helpers import block_norms
@@ -275,3 +277,38 @@ def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, 
         if rule == "momentum_sgd":
             assert np.array_equal(s.m[k], want["m"].data)
     assert [x.data.tobytes() for x in (theta, m, *vhats)] == inputs
+
+
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+MOMENT = st.floats(1e-12, 1e2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@SETTINGS
+@given(vectors(4), st.data(), UNIT, UNIT, st.floats(1e-6, 10.0))
+def test_server_rules_match_kernel_chain(xs, data, beta1, beta2, eta):
+    """The server rules on their in-place buffers give the bits of the kernel
+    chain they stand for: adam's moments and theta + eta*m/sqrt(v), and mime's
+    decayed v and its cap by v-hat, as fresh vectors in the input's layout. v
+    spans 1e-12 to 1e2, below and above any eps floor; where the chain's
+    theta is not finite (0/0 at beta2 = 0) adam raises instead."""
+    theta, m, d, g = xs
+    v, vhat = (BlockVector(theta.layout, np.array(data.draw(st.lists(MOMENT, min_size=theta.dim, max_size=theta.dim))))
+               for _ in range(2))
+    want_m, want_v = lin_comb(beta1, m, 1.0 - beta1, d), lin_comb(beta2, v, 1.0 - beta2, square(d))
+    want = lin_comb(1.0, theta, eta, BlockVector(theta.layout, want_m.data / np.sqrt(want_v.data)))
+    server = ServerState(theta, m=m.data.copy(), v=v.data.copy())
+    step = lambda: server.adam({"params": d}, SimpleNamespace(eta_global=eta, beta1=beta1, beta2=beta2, eps=1e-8))
+    if np.isfinite(want.data).all():
+        step()
+        assert server.params.data.tobytes() == want.data.tobytes() and server.params.layout is theta.layout
+    else:
+        with pytest.raises(NumericOverflowError, match="server adam step"):
+            step()
+    assert server.m.tobytes() == want_m.data.tobytes() and server.v.tobytes() == want_v.data.tobytes()
+
+    mime_v = v.data.copy()
+    got = mime_vhat_update(mime_v, vhat, g, beta2)
+    want_v = lin_comb(beta2, v, 1.0 - beta2, square(g))
+    assert mime_v.tobytes() == want_v.data.tobytes()
+    assert got.data.tobytes() == ew_max(vhat, want_v).data.tobytes() and got.layout is vhat.layout
