@@ -186,9 +186,10 @@ class ServerState:
 
 @dataclass
 class ClientState:
-    client_id: int                           # position of its shard in cfg.shards
-    m: BlockVector | None = None             # carried first moment (fed-sgd's momentum)
-    vhat: BlockVector | None = None          # last received global v-hat
+    client_id: int                   # position of its shard in cfg.shards
+    m: np.ndarray | None = None      # carried first moment (fed-sgd's momentum): the shared read-only
+                                     # init zeros, then its own buffer from its first local round on
+    vhat: BlockVector | None = None  # last received global v-hat, kept only under lazy sync (Z > 1)
 
 
 @dataclass(frozen=True)
@@ -225,10 +226,10 @@ class RoundMetrics:
 
 def init_run(cfg: RunConfig) -> tuple[ServerState, list[ClientState]]:
     """Common initialization: shared model init, v-hat = eps everywhere. Clients
-    hold only the buffers their protocol reads, shared: block vectors are read-only."""
+    hold only the buffers their protocol reads, shared and read-only."""
     proto = TABLE[cfg.protocol]
     params = init_params(cfg.spec, cfg.seed)
-    zeros = blocks.zeros_like(params)
+    zeros = blocks.zeros_like(params).data  # read-only
     server = ServerState(params=params)
     if proto.vhat:
         server.vhat = blocks.full_like(params, cfg.eps)
@@ -280,7 +281,8 @@ def local_round(
     protocol's local step rule from the broadcast model, each client against
     its own v-hat, all clients stepping at once. The group's shards have one
     size. Returns its uploads ("params" and the protocol's uplink) as (K, p)
-    buffers, one row per client; carried buffers stay on the clients. `denoms`
+    buffers, one row per client. Each client's first moment ends in its own
+    buffer, and it keeps the v-hat it was sent only under lazy sync. `denoms`
     holds each v-hat's denominator by id for the round's groups to share."""
     proto = TABLE[cfg.protocol]
     T, b = cfg.local_epochs, cfg.batch_size
@@ -310,9 +312,11 @@ def local_round(
                 upload = g.copy()
             rule(s, g)
 
-    if s.m is not None:  # copied out of a shared stack, or an unsampled client would keep it alive
-        for k, client in enumerate(group):
-            client.m = BlockVector(s.layout, s.m[k].copy() if len(group) > 1 else s.m[k])
+    for k, client in enumerate(group):
+        if s.m is not None and len(group) > 1:  # fresh: refilling old buffers let malloc trim the heap
+            client.m = s.m[k].copy()
+        if cfg.lazy_period == 1:  # every round syncs, so a kept v-hat would never be read
+            client.vhat = None
     payloads = {"params": s.theta, "v": s.v, "full_grad": upload}
     return {name: payloads[name] for name in ("params", *proto.uplink)}
 
@@ -321,20 +325,24 @@ class _LocalRound:
     """One lockstep group's local round in progress; its methods are the local
     step rules. It owns mutable (K, p) buffers, one row per client, copied once
     from the broadcast read-only vectors and updated in place by every step;
-    local_round hands them out by payload name at round end."""
+    local_round hands them out by payload name at round end, and each client's
+    row of the carried first moment; a lone client's own buffer is its row."""
 
     def __init__(self, cfg, lr, theta_bar, group: list[ClientState], rule: str, track_v: bool, denoms: dict):
         self.cfg, self.lr, self.layout = cfg, lr, theta_bar.layout
-
-        def rows(vectors):  # np.array copies a little faster than np.stack
-            return None if vectors[0] is None else np.array([x.data for x in vectors])
-
-        # the model, carried first moment, local second moment (v0 = v-hat) if uploaded
-        self.theta = rows([theta_bar] * len(group))
-        self.m = rows([c.m for c in group])
-        self.v = rows([c.vhat for c in group]) if track_v else None
+        # the model and local second moment (v0 = v-hat) if uploaded; np.array
+        # copies a little faster than np.stack
+        self.theta = np.array([theta_bar.data] * len(group))
+        self.v = np.array([c.vhat.data for c in group]) if track_v else None
+        # the carried first moment; a lone client steps its own buffer in place as its
+        # (1, p) row, copied from the shared init zeros the first time
+        self.m = None
+        if group[0].m is not None:
+            if len(group) == 1 and not group[0].m.flags.writeable:
+                group[0].m = group[0].m.copy()
+            self.m = group[0].m[None] if len(group) == 1 else np.array([c.m for c in group])
         # sqrt(max(v-hat, eps)), the scale the adaptive steps divide by, computed
-        # read-only once per v-hat into `denoms` by id (clients hold theirs all round);
+        # read-only once per v-hat into `denoms` by id (a client or the server holds each all round);
         # a group that shares one divides by a (1, p) row, unless amsgrad raises its copies to v
         self.denom = None
         if group[0].vhat is not None:
@@ -455,7 +463,9 @@ def run_round(
     """One full round: sample, broadcast, local training, aggregate, account.
     Each group's uploads are folded into the server's running sums as the
     group finishes (`UploadFold`), so the round holds one sum per payload,
-    not one vector per participant."""
+    not one vector per participant. A round that raises is not undone: the
+    clients of finished groups, and a failing lone client, keep their stepped
+    first moments, and the adam rule may have updated server.m and server.v."""
     t0 = time.perf_counter()
     r = server.round_index + 1
     proto = TABLE[cfg.protocol]

@@ -504,7 +504,7 @@ class TestRunRound:
             if c.client_id in sampled:
                 continue
             m0, vhat0 = before[c.client_id]
-            assert all(np.array_equal(a, b) for a, b in zip(c.m.blocks, m0.blocks))
+            assert np.array_equal(c.m, m0)
             assert all(np.array_equal(a, b) for a, b in zip(c.vhat.blocks, vhat0.blocks))
 
     def test_errors_tagged_with_round(self, monkeypatch):
@@ -583,7 +583,7 @@ class TestRunRound:
                 assert (c.m is not None) == (proto != "adp-fed")
             bufs = [c.m for c in clients if c.m is not None]
             assert len({id(b) for b in bufs}) == (0 if proto == "adp-fed" else 1)
-            assert all(np.all(x == 0.0) for b in bufs for x in b.blocks)
+            assert all(np.all(b == 0.0) and not b.flags.writeable for b in bufs)
 
     def test_wrapped_public_names_change_nothing(self, monkeypatch):
         # a tracer replaces federation's public functions by wrappers; the
@@ -632,7 +632,8 @@ class TestRunRound:
             for res in seen:
                 assert ("v" in res) == (comm.uplink_moment > 0), proto
                 assert ("full_grad" in res) == (comm.uplink_gradient > 0), proto
-            assert [held(c) for c in clients] == given, proto
+            # at lazy_period = 1 every round syncs, so no client keeps the v-hat it was sent
+            assert [held(c) for c in clients] == [h - {"vhat"} for h in given], proto
             assert all((c.m is not None) == (proto != "adp-fed") for c in clients), proto
 
     @pytest.mark.parametrize("order", (1, -1))
@@ -640,29 +641,68 @@ class TestRunRound:
     def test_in_place_local_rounds_leave_shared_vectors_unchanged(self, proto, order, monkeypatch, uploaded_params):
         # local rounds write only into buffers they own: after each round the
         # previous global model, the broadcast v-hat, the shared init zeros,
-        # unsampled clients' buffers and earlier rounds' uploads are bit-unchanged
+        # the round's unsampled clients' buffers and earlier rounds' uploads
+        # are bit-unchanged; and each client's first moment is its own buffer,
+        # sharing memory with no other client's and with nothing the server
+        # holds or the clients were sent
         ascending = federation.sample_clients
         monkeypatch.setattr(federation, "sample_clients", lambda *args: ascending(*args)[::order])
         cfg = make_cfg(proto, n=4, participation=0.5, batch_size=8, alpha=0.05, lam=0.01)
         server, clients = init_run(cfg)
-        watched = [b for c in clients for b in (c.m, c.vhat) if b is not None]
+        zeros = clients[0].m
+        watched = [x.data for x in (server.params, server.vhat) if x is not None]
+        if zeros is not None:
+            watched.append(zeros)
 
-        def no_client_holds_server_buffers():
+        def check_ownership():
+            owned = [c.m for c in clients if c.m is not None and c.m is not zeros]
+            assert all(not np.shares_memory(a, b) for i, a in enumerate(owned) for b in owned[i + 1:])
+            others = [x for x in (server.m, server.v, zeros) if x is not None]
+            others += [x.data for x in (server.params, server.vhat, *uploaded_params) if x is not None]
+            others += [c.vhat.data for c in clients if c.vhat is not None]
+            assert all(not np.shares_memory(m, x) for m in owned for x in others)
             # the server rules write server.m and server.v in place
-            return not any(np.shares_memory(b.data, x) for c in clients for b in (c.m, c.vhat) if b is not None
-                           for x in (server.m, server.v) if x is not None)
+            assert all(not np.shares_memory(c.vhat.data, x) for c in clients if c.vhat is not None
+                       for x in (server.m, server.v) if x is not None)
+            if zeros is not None:
+                assert not zeros.flags.writeable and not zeros.any()
 
-        assert no_client_holds_server_buffers(), proto
+        check_ownership()
         for r in range(1, 5):
             sampled = set(ascending(cfg.n, cfg.participation, r, cfg.seed).tolist())
-            watched += [x for x in (server.params, server.vhat) if x is not None]
-            watched += uploaded_params
-            watched += [b for c in clients if c.client_id not in sampled
-                        for b in (c.m, c.vhat) if b is not None]
-            bits = [(x, x.data.tobytes()) for x in watched]
+            watched += [x.data for x in (server.params, server.vhat) if x is not None]
+            watched += [x.data for x in uploaded_params]
+            # a client's own m changes only in the rounds it takes part in
+            unsampled = [b for c in clients if c.client_id not in sampled
+                         for b in (c.m, None if c.vhat is None else c.vhat.data) if b is not None]
+            bits = [(x, x.tobytes()) for x in watched + unsampled]
             run_round(server, clients, cfg)
-            assert all(x.data.tobytes() == b for x, b in bits), (proto, r)
-            assert no_client_holds_server_buffers(), (proto, r)
+            assert all(x.tobytes() == b for x, b in bits), (proto, r)
+            check_ownership()
+
+    @pytest.mark.parametrize("lone", (True, False), ids=("lone", "stacked"))
+    @pytest.mark.parametrize("proto", ("fed-sgd", "fed-lamb"))
+    def test_client_steps_its_own_first_moment_in_place(self, proto, lone, monkeypatch):
+        # a client owns its m from its first round on: a lone client's group
+        # steps that buffer in place as its (1, p) row, the same buffer from
+        # round to round; a larger group steps a stacked copy and hands each
+        # client its row in a fresh buffer
+        if lone:
+            monkeypatch.setattr(federation, "_STACK_FLOATS", 1)
+        cfg = make_cfg(proto, n=3, batch_size=8)
+        server, clients = init_run(cfg)
+        zeros = clients[0].m
+        run_round(server, clients, cfg)
+        assert not zeros.flags.writeable and not zeros.any()
+        before = [(c.m, c.m.copy()) for c in clients]
+        assert all(m.flags.writeable for m, _ in before)
+        s = federation._LocalRound(cfg, 0.01, server.params, clients[:1] if lone else clients,
+                                   TABLE[proto].local, False, {})
+        assert np.shares_memory(s.m, clients[0].m) == lone
+        run_round(server, clients, cfg)
+        for c, (m, bits) in zip(clients, before):
+            assert np.shares_memory(c.m, m) == lone
+            assert c.m.flags.writeable and c.m.shape == m.shape and not np.array_equal(c.m, bits)
 
     def test_grad_evals_double_for_mime(self):
         shared = dict(n=2, batch_size=8, seed=6)
@@ -808,13 +848,18 @@ class TestRoundMemory:
     lockstep group is one client) with 16 clients of 20 rows."""
 
     @staticmethod
-    def _peak_vectors(proto, participants):
+    def _cfg(proto, participants, **kw):
         train = gen_blobs(10, 20, per_class=32, separation=6.0, noise=1.5, seed=8)
         test = gen_blobs(10, 20, per_class=4, separation=6.0, noise=1.5, seed=9)
-        kw = dict(eta_global=0.01) if proto == "adp-fed" else {}
-        cfg = RunConfig(protocol=proto, spec=ModelSpec("mlp", input_dim=20, hidden=(3500,), classes=10),
-                        train=train, test=test, shards=partition_iid(train, 16, seed=8), alpha=0.01,
-                        batch_size=20, participation=participants / 16, seed=8, **kw)
+        if proto == "adp-fed":
+            kw.update(eta_global=0.01)
+        return RunConfig(protocol=proto, spec=ModelSpec("mlp", input_dim=20, hidden=(3500,), classes=10),
+                         train=train, test=test, shards=partition_iid(train, 16, seed=8), alpha=0.01,
+                         batch_size=20, participation=participants / 16, seed=8, **kw)
+
+    @classmethod
+    def _peak_vectors(cls, proto, participants):
+        cfg = cls._cfg(proto, participants)
         server, clients = init_run(cfg)
         tracemalloc.start()
         try:
@@ -834,6 +879,29 @@ class TestRoundMemory:
         # half a vector allows for the Python objects of twelve more clients
         few, many = self._peak_vectors("mime-lamb", 4), self._peak_vectors("mime-lamb", 16)
         assert many - few <= 16 - 4 + 0.5, (few, many)
+
+    @pytest.mark.parametrize("lazy_period", (1, 3))
+    def test_clients_keep_vhat_only_under_lazy_sync(self, lazy_period):
+        # what is live after six mime-lamb rounds of 8 of 16 clients, counted from
+        # before init_run: each client that took part keeps its m; at Z = 1 every
+        # round sends v-hat afresh, so nothing else outlives a round but the
+        # server's vectors, while at Z = 3 clients keep the stale v-hats that
+        # the rounds between syncs read
+        cfg = self._cfg("mime-lamb", 8, lazy_period=lazy_period)
+        tracemalloc.start()
+        try:
+            server, clients = init_run(cfg)
+            for _ in range(6):
+                run_round(server, clients, cfg)
+            live = tracemalloc.get_traced_memory()[0] / (8 * server.params.dim)
+        finally:
+            tracemalloc.stop()
+        took = set().union(*(sample_clients(cfg.n, cfg.participation, r, cfg.seed).tolist() for r in range(1, 7)))
+        held = len(took) + sum(x is not None for x in (server.params, server.vhat, server.m, server.v))
+        if lazy_period == 1:
+            assert live <= held + 0.5, (live, held)  # half a vector for the Python objects
+        else:
+            assert live >= held + 1, (live, held)
 
 
 class TestReductionIdentity:

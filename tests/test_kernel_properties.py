@@ -259,7 +259,7 @@ def test_local_rule_matches_kernel_chain(rule, track_v, xs, data, lr, lam, phi, 
     # zero blocks sit below eps
     vhats = [BlockVector(theta.layout, np.abs(x.data)) for x in (grads[0], theta)]
     cfg = SimpleNamespace(beta1=0.9, beta2=0.999, lam=lam, eps=eps, phi=phi, momentum=0.9)
-    group = [ClientState(i, m, vhat) for i, vhat in enumerate(vhats)]
+    group = [ClientState(i, m.data, vhat) for i, vhat in enumerate(vhats)]
     s = _LocalRound(cfg, lr, theta, group, rule, track_v, {})
     wants = [dict(theta=theta, m=m, v=vhat if track_v else None, vhat=vhat) for vhat in vhats]
     inputs = [x.data.tobytes() for x in (theta, m, *vhats)]
