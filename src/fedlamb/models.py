@@ -152,10 +152,10 @@ class Stack:
         self.layers, self.grads = _layers(spec, layout, data), _layers(spec, layout, self.grad)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, its inner dimension summed over consecutive `_CHUNK`-long pieces
-    in order; an inner dimension of at most `_CHUNK` is one product."""
-    out = a[..., :_CHUNK] @ b[..., :_CHUNK, :]
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, into `out` if given, its inner dimension summed over consecutive
+    `_CHUNK`-long pieces in order; an inner dimension of at most `_CHUNK` is one product."""
+    out = np.matmul(a[..., :_CHUNK], b[..., :_CHUNK, :], out=out)
     for lo in range(_CHUNK, a.shape[-1], _CHUNK):
         out += a[..., lo : lo + _CHUNK] @ b[..., lo : lo + _CHUNK, :]
     return out
@@ -187,7 +187,6 @@ def _forward(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset):
     """One forward pass: (out, scores, saved). The loss and its gradient start
     from the head's `out` (residual, logit or log-probabilities), a class
     prediction from `scores`; `saved` holds the layer inputs and weights."""
-    _check_batch(spec, params, batch)
     z, acts, layers = _stack_forward(spec, params, batch.features)
     if spec.kind == "mlp":
         return _log_softmax(z), z, (acts, layers)
@@ -207,10 +206,11 @@ def _loss_terms(spec: ModelSpec, out: np.ndarray, labels: np.ndarray) -> np.ndar
 
 
 def _gradient(spec: ModelSpec, batch: Dataset, out, saved, n: int, grads):
-    """Writes through `grads`, each layer's (W, b) views over a gradient buffer,
-    the batch's share of the gradient of a mean loss over `n` samples: the
-    head's output delta from `_forward`'s `out`, then the layers from last to
-    first through `saved`."""
+    """Writes through `grads`, each layer's (W, b) views over a gradient buffer, the
+    batch's share of the gradient of a mean loss over `n` samples: the head's output
+    delta from `_forward`'s `out`, then the layers from last to first through `saved`,
+    which it consumes: each hidden layer's delta overwrites that layer's activation
+    once its keep factor (the relu mask, or 1 - a*a for tanh) is read."""
     acts, layers = saved
     if spec.kind == "mlp":
         delta = np.exp(out)
@@ -226,40 +226,51 @@ def _gradient(spec: ModelSpec, batch: Dataset, out, saved, n: int, grads):
         np.matmul(acts[i].swapaxes(-1, -2), delta, out=gW)
         delta.sum(axis=-2, keepdims=True, out=gb)
         if i > 0:
-            delta = _matmul(delta, layers[i][0].swapaxes(-1, -2))
-            if spec.activation == "relu":
-                np.multiply(delta, acts[i] > 0, out=delta)
-            else:
-                delta *= 1.0 - acts[i] * acts[i]
+            keep = acts[i] > 0 if spec.activation == "relu" else np.multiply(acts[i], acts[i])
+            if spec.activation == "tanh":
+                np.subtract(1.0, keep, out=keep)
+            delta = _matmul(delta, layers[i][0].swapaxes(-1, -2), out=acts[i])
+            delta *= keep
 
 
-def _loss_and_gradient(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset, with_loss: bool):
-    """(mean loss or None, gradient of the mean loss) over consecutive `_CHUNK`-row
-    chunks of `batch`, in order: each chunk divides by the whole batch's size,
-    the first writes the gradient and later ones add to it, and the loss is one
-    mean over every sample's term. A batch of at most `_CHUNK` rows is one chunk.
-    A block vector's gradient is a new block vector; a stack's is its `grad`."""
-    stack = params if isinstance(params, Stack) else Stack(spec, params.layout, params.data)
+def _chunked(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset, step=None, with_loss=True):
+    """Mean loss (None without `with_loss`) over one n-long array of loss terms, from one
+    `_forward` per consecutive `_CHUNK`-row chunk of `batch`, in order, each then seen by
+    `step(lo, chunk, out, scores, saved)`; its buffers are freed before the next chunk's."""
+    _check_batch(spec, params, batch)
     n = batch.n
-    tmp = np.empty_like(stack.grad) if n > _CHUNK else None
-    tmp_grads = None if tmp is None else _layers(spec, stack.layout, tmp)
     terms = np.empty(n) if with_loss else None
     for lo in range(0, n, _CHUNK):
         chunk = batch if n <= _CHUNK else Dataset(
             batch.features[..., lo : lo + _CHUNK, :], batch.labels[..., lo : lo + _CHUNK], batch.classes)
-        out, _, saved = _forward(spec, stack, chunk)
+        out, scores, saved = _forward(spec, params, chunk)
         if with_loss:
             terms[lo : lo + chunk.n] = _loss_terms(spec, out, chunk.labels)
+        if step:
+            step(lo, chunk, out, scores, saved)
+        del out, scores, saved
+    return float(np.mean(terms)) if with_loss else None
+
+
+def _loss_and_gradient(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset, with_loss: bool):
+    """(mean loss or None, gradient of the mean loss) over `_chunked`'s chunks: each divides
+    by the whole batch's size, the first writes the gradient and later ones add to it. A
+    block vector's gradient is a new block vector; a stack's is its `grad`."""
+    stack = params if isinstance(params, Stack) else Stack(spec, params.layout, params.data)
+    n = batch.n
+    tmp = np.empty_like(stack.grad) if n > _CHUNK else None
+    tmp_grads = None if tmp is None else _layers(spec, stack.layout, tmp)
+    def step(lo, chunk, out, _, saved):
         _gradient(spec, chunk, out, saved, n, tmp_grads if lo else stack.grads)
         if lo:
             stack.grad += tmp
-    loss = float(np.mean(terms)) if with_loss else None
+    loss = _chunked(spec, stack, batch, step, with_loss)
     return loss, stack.grad if stack is params else BlockVector(params.layout, stack.grad)
 
 
 def forward_loss(spec: ModelSpec, params: BlockVector, batch: Dataset) -> float:
-    """Mean loss over the batch; cross-entropy via stable log-sum-exp."""
-    return float(np.mean(_loss_terms(spec, _forward(spec, params, batch)[0], batch.labels)))
+    """Mean loss over the batch in `_chunked`'s chunks; cross-entropy via stable log-sum-exp."""
+    return _chunked(spec, params, batch)
 
 
 def backward(spec: ModelSpec, params: BlockVector | Stack, batch: Dataset) -> BlockVector | np.ndarray:
@@ -274,14 +285,13 @@ def full_gradient(spec: ModelSpec, params: BlockVector, dataset: Dataset) -> tup
 
 
 def evaluate(spec: ModelSpec, params: BlockVector, dataset: Dataset) -> tuple[float, float]:
-    """(accuracy, mean loss) from one forward pass; argmax ties break toward
-    the smallest class index.
-
-    Linear regression has no class prediction; its accuracy reports 0.0.
-    """
-    out, scores, _ = _forward(spec, params, dataset)
-    loss = float(np.mean(_loss_terms(spec, out, dataset.labels)))
+    """(accuracy, mean loss) from one forward pass in `_chunked`'s chunks, the predictions
+    in one n-long array; argmax ties break toward the smallest class index. Linear
+    regression has no class prediction; its accuracy reports 0.0."""
     if spec.kind == "linear-regression":
-        return 0.0, loss
-    pred = (scores > 0) if spec.kind == "logistic" else np.argmax(scores, axis=1)
+        return 0.0, _chunked(spec, params, dataset)
+    pred = np.empty(dataset.n, dtype=np.intp)
+    def step(lo, chunk, out, scores, saved):
+        pred[lo : lo + chunk.n] = (scores > 0) if spec.kind == "logistic" else np.argmax(scores, axis=1)
+    loss = _chunked(spec, params, dataset, step)
     return float(np.mean(pred == dataset.labels.astype(np.intp))), loss

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fedlamb import models
 from fedlamb.blocks import BlockVector, zeros_like
-from fedlamb.data import Dataset
+from fedlamb.data import Dataset, gen_blobs
 from fedlamb.models import (
     ModelSpec,
     NumericOverflowError,
+    Stack,
     backward,
     evaluate,
     forward_loss,
@@ -19,6 +21,7 @@ from fedlamb.models import (
 from fedlamb.optim import RangeError
 
 import oracles
+from helpers import reference_backward
 
 MLP = ModelSpec("mlp", input_dim=6, hidden=(10,), classes=4)
 LOGISTIC = ModelSpec("logistic", input_dim=4, classes=2)
@@ -350,3 +353,111 @@ class TestFusedPasses:
         assert acc == float(np.mean(pred == batch.labels))
         if zero:
             assert acc == float(np.mean(batch.labels == 0))
+
+    @pytest.mark.parametrize("spec", [LINREG, LOGISTIC, MLP, MLP_TANH])
+    @pytest.mark.parametrize("zero", [False, True], ids=["random", "ties"])
+    def test_evaluate_chunks_and_matches_one_pass(self, spec, zero, monkeypatch):
+        rng = np.random.default_rng(23)
+        p = random_params(spec, rng)
+        if zero:  # every score equal: ties break toward class 0
+            p = zeros_like(p)
+        batch = random_batch(spec, rng, size=600)
+        out = models._forward(spec, p, batch)[0]  # one unchunked pass over all 600 rows
+        want = float(np.mean(models._loss_terms(spec, out, batch.labels)))
+        seen, forward = [], models._stack_forward
+
+        def spy(spec, params, X):
+            seen.append(X)
+            return forward(spec, params, X)
+
+        monkeypatch.setattr(models, "_stack_forward", spy)
+        acc, loss = evaluate(spec, p, batch)
+        assert [len(X) for X in seen] == [256, 256, 88]
+        assert np.array_equal(np.vstack(seen), batch.features)
+        assert loss == want
+        assert forward_loss(spec, p, batch) == want
+        if spec.kind == "linear-regression":
+            assert acc == 0.0
+            return
+        pred = np.argmax(reference_scores(spec, p, batch.features), axis=1)
+        assert acc == float(np.mean(pred == batch.labels))
+
+
+class TestBackwardReference:
+    """backward's bits equal a plain-numpy transcription on fresh arrays, so
+    writing each back-propagated delta over the activation it consumed moves no
+    bit. Widths and batches are at most 256, where every product is one matmul."""
+
+    SPECS = [ModelSpec("mlp", input_dim=5, hidden=hidden, classes=4, activation=act)
+             for act in ("relu", "tanh") for hidden in ((7,), (256, 3), (40, 200, 9))]
+
+    @pytest.mark.parametrize("spec", [LINREG, LOGISTIC, *SPECS],
+                             ids=lambda s: "-".join([s.kind, *map(str, s.hidden), s.activation]))
+    @pytest.mark.parametrize("b", [1, 97, 256])
+    @pytest.mark.parametrize("K", [None, 3], ids=["lone", "stacked"])
+    def test_matches_numpy_transcription(self, spec, b, K):
+        rng = np.random.default_rng(24)
+        lead, layout = () if K is None else (K,), init_params(spec, 0).layout
+        flat = 0.5 * rng.standard_normal((*lead, layout.dim))
+        X = rng.standard_normal((*lead, b, spec.input_dim))
+        y = (rng.standard_normal((*lead, b)) if spec.kind == "linear-regression"
+             else rng.integers(0, spec.classes, (*lead, b)))
+        batch = Dataset(X, y, spec.classes)
+        want = reference_backward(spec, flat, X, y)
+        if K is None:
+            got = backward(spec, BlockVector(layout, flat), batch).data
+            assert np.array_equal(got, want)
+        else:
+            stack = Stack(spec, layout, flat.copy())
+            assert np.array_equal(backward(spec, stack, batch), want)
+            assert np.array_equal(backward(spec, stack, batch), want)  # a second pass on one Stack
+        assert np.array_equal(batch.features, X)
+
+
+class TestPassMemory:
+    """No model pass holds more than one 256-row chunk's activations: a chunk's
+    buffers are freed before the next chunk's forward pass allocates, and each
+    back-propagated delta overwrites the activation it consumed. Measured with
+    tracemalloc, which sees numpy's buffers, on 8,200 blob rows. Bounds are in
+    chunk widths (256 rows x the widest layer x 8 B), p-vectors (8p B) and the
+    n-long loss terms (8n B); every one fails for a pass that keeps two chunks'
+    activations, or an activation and a fresh delta of its shape, alive at once."""
+
+    RELU = ModelSpec("mlp", input_dim=20, hidden=(200,), classes=10)
+    TANH = ModelSpec("mlp", input_dim=20, hidden=(300, 300), classes=10, activation="tanh")
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return gen_blobs(10, 20, per_class=820, separation=6.0, noise=1.5, seed=8)
+
+    @staticmethod
+    def _peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 20-200-10's chunk holds one activation; 20-300-300-10's holds two, and its fan-in
+    # of 300 takes _matmul's 256-long pieces, each after the first a fresh product
+    @pytest.mark.parametrize("spec, chunks", [(RELU, 2), (TANH, 4)], ids=["relu-200", "tanh-300-300"])
+    def test_evaluate_holds_one_chunk(self, data, spec, chunks):
+        # the activations and one product piece, plus the n-long terms and predictions
+        chunk = 256 * max(spec.hidden) * 8
+        assert self._peak(evaluate, spec, init_params(spec, 8), data) <= chunks * chunk
+
+    @pytest.mark.parametrize("spec, chunks", [(RELU, 1.75), (TANH, 4.5)], ids=["relu-200", "tanh-300-300"])
+    def test_full_gradient_holds_one_chunk(self, data, spec, chunks):
+        # the activations, the relu mask (1/8 width) or the tanh keep factor, one product
+        # piece, plus two p-vectors (the gradient and its per-chunk scratch) and the terms
+        p, chunk = init_params(spec, 8), 256 * max(spec.hidden) * 8
+        assert self._peak(full_gradient, spec, p, data) <= chunks * chunk + 2 * 8 * p.dim + 8 * data.n
+
+    def test_stacked_backward_holds_one_activation(self, data):
+        # K = 10 batches of b = 64 rows are one chunk of K * b rows, whose gradient
+        # buffer the Stack already holds: one activation and its bool mask
+        p = init_params(self.RELU, 8)
+        stack = Stack(self.RELU, p.layout, np.tile(p.data, (10, 1)))
+        batch = data.take(np.arange(640).reshape(10, 64))
+        assert self._peak(backward, self.RELU, stack, batch) <= 1.5 * (10 * 64 * 200 * 8)
